@@ -12,7 +12,7 @@
 // The parallel-mode sweep additionally validates the makespan model
 // against the clock: ExecOptions::parallel_mode × workers ∈ {1,2,4,8} on
 // an extend-heavy plan, with an injected per-round-trip latency
-// (ClusterOptions::round_trip_latency_us) standing in for the network RTT
+// (ClusterOptions::network.link.rtt_us) standing in for the network RTT
 // a remote store would charge. kThreads overlaps its per-worker MultiGets
 // where kSimulated pays them back-to-back, so measured wall-clock falls
 // with p exactly as makespan_get predicts — on any core count. Counters
@@ -30,8 +30,8 @@
 // one per key, so batching must win by ~K/nodes — in modeled seconds
 // (makespan_net + queue delay) and on the measured clock.
 //
-// A fourth sweep gates the overlapped fan-out (FanoutMode::kOverlapped,
-// Cluster::MultiGetAsync): with one of 8 storage nodes 10x slower, the
+// A fourth sweep gates the overlapped fan-out (FanoutMode::kOverlapped
+// through Cluster::MultiGet): with one of 8 storage nodes 10x slower, the
 // serial fan-out pays the sum of its per-node stalls (~17 RTTs) while
 // the overlapped one pays ~the bottleneck node alone (~10 RTTs) — a
 // ~0.59x ratio, gated at <= 0.6x on the wall clock AND the modeled
@@ -168,10 +168,9 @@ SweepCell RunCell(Instance& inst, const KbaPlan& plan, ParallelMode mode,
 /// parallel_mode × workers on the extend-heavy plan. Returns false if
 /// the determinism or speedup contract is violated (checked in --smoke).
 bool ModeSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
-  Instance inst =
-      Load(MakeMot(scale, 42),
-           ClusterOptions{.num_storage_nodes = 8,
-                          .round_trip_latency_us = latency_us});
+  ClusterOptions co{.num_storage_nodes = 8};
+  co.network.link.rtt_us = latency_us;
+  Instance inst = Load(MakeMot(scale, 42), co);
   int64_t n_vehicles = std::max<int64_t>(20, static_cast<int64_t>(500 * scale));
   KbaPlanPtr plan = ExtendHeavyPlan(n_vehicles);
 
@@ -233,10 +232,9 @@ bool ModeSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
 /// drives the full threaded baseline pipeline through the facade —
 /// shared Connection pool included.
 bool TaavSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
-  Instance inst =
-      Load(MakeMot(scale, 42),
-           ClusterOptions{.num_storage_nodes = 8,
-                          .round_trip_latency_us = latency_us});
+  ClusterOptions co{.num_storage_nodes = 8};
+  co.network.link.rtt_us = latency_us;
+  Instance inst = Load(MakeMot(scale, 42), co);
   const auto& query = inst.workload.queries[8];  // mot-q9
   Connection conn = inst.zidian->Connect();
   auto prepared = conn.Prepare(query.sql);
@@ -476,8 +474,8 @@ double NetLegSeconds(const QueryMetrics& m) {
 /// The skewed-node leg: 8 storage nodes, node 0 with a 10x slower link
 /// (NetworkOptions::node_links). A serial fan-out over all 8 nodes pays
 /// the SUM of its per-node batch stalls — 7 healthy RTTs plus the slow
-/// one, ~17R — while the overlapped fan-out (FanoutMode::kOverlapped,
-/// Cluster::MultiGetAsync) keeps every batch in flight together and pays
+/// one, ~17R — while the overlapped fan-out (FanoutMode::kOverlapped)
+/// keeps every batch in flight together and pays
 /// ~the bottleneck node alone, ~10R. Expected ratio 10/17 ~ 0.59; gated
 /// at <= 0.6 on the measured wall clock AND on the modeled network leg.
 bool SkewedNodeSweep(int repeats, bool assert_gate) {

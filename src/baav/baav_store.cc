@@ -276,36 +276,9 @@ Result<BlockStats> BaavStore::GetBlockStats(const KvSchema& kv,
   return total;
 }
 
-namespace {
-
-/// Drains one in-flight fan-out, invoking `decode` on every result slot:
-/// cache-served slots first (they never left the middleware, so they are
-/// readable before any node answers), then each node's slots as its
-/// modeled completion arrives — decoding overlaps the batches still in
-/// flight. Slot-coverage order differs from the serial path but every
-/// decode is per-slot independent, so rows and counters cannot.
-Status DrainDecoding(AsyncMultiGet* handle, size_t slots,
-                     const std::function<Status(size_t)>& decode) {
-  std::vector<uint8_t> in_batch(slots, 0);
-  for (const auto& b : handle->batches()) {
-    for (uint32_t s : b.slots) in_batch[s] = 1;
-  }
-  for (size_t i = 0; i < slots; ++i) {
-    if (in_batch[i] == 0) ZIDIAN_RETURN_NOT_OK(decode(i));
-  }
-  for (int b = handle->WaitNext(); b >= 0; b = handle->WaitNext()) {
-    for (uint32_t s : handle->batches()[static_cast<size_t>(b)].slots) {
-      ZIDIAN_RETURN_NOT_OK(decode(s));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
-    const KvSchema& kv, const std::vector<Tuple>& keys,
-    QueryMetrics* m) const {
+    const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
+    FanoutMode fanout, FanoutStats* fanout_stats) const {
   std::vector<std::vector<Tuple>> out(keys.size());
   if (keys.empty()) return out;
   size_t arity = kv.value_attrs.size();
@@ -313,7 +286,8 @@ Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
   std::vector<std::string> seg0;
   seg0.reserve(keys.size());
   for (const auto& key : keys) seg0.push_back(SegmentKey(kv, key, 0));
-  auto first = cluster_->MultiGet(seg0, m);
+  auto first =
+      cluster_->MultiGet(seg0, m, CacheFill::kFill, fanout, fanout_stats);
   ZIDIAN_RETURN_NOT_OK(first.status);  // unreachable keys fail the fetch
 
   // Blocks split across segments need a second round for the overflow keys.
@@ -333,7 +307,8 @@ Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
     }
   }
   if (!extra_keys.empty()) {
-    auto rest = cluster_->MultiGet(extra_keys, m);
+    auto rest = cluster_->MultiGet(extra_keys, m, CacheFill::kFill, fanout,
+                                   fanout_stats);
     ZIDIAN_RETURN_NOT_OK(rest.status);
     for (size_t j = 0; j < extra_keys.size(); ++j) {
       if (!rest[j].has_value()) {
@@ -355,77 +330,9 @@ Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
   return out;
 }
 
-Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
+Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
     const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
     FanoutMode fanout, FanoutStats* fanout_stats) const {
-  if (fanout == FanoutMode::kSerial) return MultiGetBlocks(kv, keys, m);
-  std::vector<std::vector<Tuple>> out(keys.size());
-  if (keys.empty()) return out;
-  size_t arity = kv.value_attrs.size();
-
-  std::vector<std::string> seg0;
-  seg0.reserve(keys.size());
-  for (const auto& key : keys) seg0.push_back(SegmentKey(kv, key, 0));
-  AsyncMultiGet first = cluster_->MultiGetAsync(seg0, m);
-  ZIDIAN_RETURN_NOT_OK(first.result().status);  // verdicts are set at issue
-
-  std::vector<uint64_t> seg_count(keys.size(), 0);
-  ZIDIAN_RETURN_NOT_OK(
-      DrainDecoding(&first, keys.size(), [&](size_t i) -> Status {
-        if (!first.result()[i].has_value()) return Status::OK();  // absent
-        std::string_view sv = *first.result()[i];
-        uint64_t segments = 0;
-        if (!GetVarint64(&sv, &segments) || segments == 0) {
-          return Status::Corruption("bad segment header in " + kv.name);
-        }
-        seg_count[i] = segments;
-        return DecodeBlock(sv, arity, &out[i]);
-      }));
-  MultiGetResult round1 = first.Finish(fanout_stats);
-
-  // Overflow round: keys collected in slot order AFTER the full drain, so
-  // the request — and therefore every counter — matches the serial path.
-  std::vector<std::string> extra_keys;
-  std::vector<size_t> extra_owner;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (uint64_t s = 1; s < seg_count[i]; ++s) {
-      extra_keys.push_back(SegmentKey(kv, keys[i], s));
-      extra_owner.push_back(i);
-    }
-  }
-  if (!extra_keys.empty()) {
-    AsyncMultiGet rest = cluster_->MultiGetAsync(extra_keys, m);
-    ZIDIAN_RETURN_NOT_OK(rest.result().status);
-    // Decode as completions arrive, but STAGE the parts per extra key and
-    // stitch in ascending key order after the drain — appends must land
-    // in segment order whatever order the nodes answered in.
-    std::vector<std::vector<Tuple>> parts(extra_keys.size());
-    ZIDIAN_RETURN_NOT_OK(
-        DrainDecoding(&rest, extra_keys.size(), [&](size_t j) -> Status {
-          if (!rest.result()[j].has_value()) {
-            return Status::Corruption("missing segment in " + kv.name);
-          }
-          return DecodeBlock(*rest.result()[j], arity, &parts[j]);
-        }));
-    (void)rest.Finish(fanout_stats);  // already drained; keep only the stats
-    for (size_t j = 0; j < extra_keys.size(); ++j) {
-      auto& rows = out[extra_owner[j]];
-      rows.insert(rows.end(), std::make_move_iterator(parts[j].begin()),
-                  std::make_move_iterator(parts[j].end()));
-    }
-  }
-  if (m != nullptr) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (!round1[i].has_value()) continue;
-      m->values_accessed += out[i].size() * arity + keys[i].size();
-    }
-  }
-  return out;
-}
-
-Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
-    const KvSchema& kv, const std::vector<Tuple>& keys,
-    QueryMetrics* m) const {
   size_t arity = kv.value_attrs.size();
   std::vector<BlockStats> out(keys.size());
   for (auto& st : out) st.columns.assign(arity, BlockColumnStats{});
@@ -440,7 +347,8 @@ Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
   std::vector<std::string> seg0;
   seg0.reserve(keys.size());
   for (const auto& key : keys) seg0.push_back(SegmentKey(kv, key, 0));
-  auto first = cluster_->MultiGet(seg0, &scratch, CacheFill::kNoFill);
+  auto first = cluster_->MultiGet(seg0, &scratch, CacheFill::kNoFill, fanout,
+                                  fanout_stats);
   ZIDIAN_RETURN_NOT_OK(first.status);  // unreachable keys fail the fetch
 
   std::vector<std::string> extra_keys;
@@ -462,7 +370,8 @@ Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
     }
   }
   if (!extra_keys.empty()) {
-    auto rest = cluster_->MultiGet(extra_keys, &scratch, CacheFill::kNoFill);
+    auto rest = cluster_->MultiGet(extra_keys, &scratch, CacheFill::kNoFill,
+                                   fanout, fanout_stats);
     ZIDIAN_RETURN_NOT_OK(rest.status);
     for (size_t j = 0; j < extra_keys.size(); ++j) {
       if (!rest[j].has_value()) {
@@ -477,78 +386,6 @@ Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
   // Mirror GetBlockStats: one get per fetched segment (absent keys charge
   // nothing), header-sized payloads only — from the cache for segments
   // that hit. Round trips come from the batched fetches that went out.
-  ChargeStatsFetch(scratch, segments_fetched, arity, m);
-  return out;
-}
-
-Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
-    const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
-    FanoutMode fanout, FanoutStats* fanout_stats) const {
-  if (fanout == FanoutMode::kSerial) return MultiGetBlockStats(kv, keys, m);
-  size_t arity = kv.value_attrs.size();
-  std::vector<BlockStats> out(keys.size());
-  for (auto& st : out) st.columns.assign(arity, BlockColumnStats{});
-  if (keys.empty()) return out;
-
-  // Same scratch-meter / kNoFill discipline as the serial path — the
-  // overlapped schedule must not change what a stats read is charged.
-  QueryMetrics scratch;
-  uint64_t segments_fetched = 0;
-
-  std::vector<std::string> seg0;
-  seg0.reserve(keys.size());
-  for (const auto& key : keys) seg0.push_back(SegmentKey(kv, key, 0));
-  AsyncMultiGet first =
-      cluster_->MultiGetAsync(seg0, &scratch, CacheFill::kNoFill);
-  ZIDIAN_RETURN_NOT_OK(first.result().status);
-
-  std::vector<uint64_t> seg_count(keys.size(), 0);
-  ZIDIAN_RETURN_NOT_OK(
-      DrainDecoding(&first, keys.size(), [&](size_t i) -> Status {
-        if (!first.result()[i].has_value()) return Status::OK();  // absent
-        std::string_view sv = *first.result()[i];
-        uint64_t segments = 0;
-        if (!GetVarint64(&sv, &segments) || segments == 0) {
-          return Status::Corruption("bad segment header in " + kv.name);
-        }
-        seg_count[i] = segments;
-        BlockStats part;
-        ZIDIAN_RETURN_NOT_OK(DecodeBlockStats(sv, arity, &part));
-        MergeBlockStats(&out[i], part, arity);
-        ++segments_fetched;
-        return Status::OK();
-      }));
-  (void)first.Finish(fanout_stats);  // already drained; keep only the stats
-
-  std::vector<std::string> extra_keys;
-  std::vector<size_t> extra_owner;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (uint64_t s = 1; s < seg_count[i]; ++s) {
-      extra_keys.push_back(SegmentKey(kv, keys[i], s));
-      extra_owner.push_back(i);
-    }
-  }
-  if (!extra_keys.empty()) {
-    AsyncMultiGet rest =
-        cluster_->MultiGetAsync(extra_keys, &scratch, CacheFill::kNoFill);
-    ZIDIAN_RETURN_NOT_OK(rest.result().status);
-    // Stage per-segment stats and merge in ascending key order after the
-    // drain: MergeBlockStats sums floats, so the association must be the
-    // serial path's, whatever order the nodes answered in.
-    std::vector<BlockStats> parts(extra_keys.size());
-    ZIDIAN_RETURN_NOT_OK(
-        DrainDecoding(&rest, extra_keys.size(), [&](size_t j) -> Status {
-          if (!rest.result()[j].has_value()) {
-            return Status::Corruption("missing segment in " + kv.name);
-          }
-          return DecodeBlockStats(*rest.result()[j], arity, &parts[j]);
-        }));
-    (void)rest.Finish(fanout_stats);  // already drained; keep only the stats
-    for (size_t j = 0; j < extra_keys.size(); ++j) {
-      MergeBlockStats(&out[extra_owner[j]], parts[j], arity);
-      ++segments_fetched;
-    }
-  }
   ChargeStatsFetch(scratch, segments_fetched, arity, m);
   return out;
 }

@@ -67,23 +67,15 @@ class BaavStore {
   /// round, overflow segments in a second. Returns one row vector per key,
   /// aligned with `keys` (empty for absent keys). Meters one get per segment
   /// key but only one round trip per touched storage node — the batched hot
-  /// path the interleaved extension strategy runs on.
-  Result<std::vector<std::vector<Tuple>>> MultiGetBlocks(
-      const KvSchema& kv, const std::vector<Tuple>& keys,
-      QueryMetrics* m) const;
-
-  /// Fan-out-aware batched block fetch. kSerial is byte-for-byte the
-  /// 3-arg overload; kOverlapped issues each round through
-  /// Cluster::MultiGetAsync — all touched nodes' batches depart at one
-  /// common modeled instant and each node's blocks are decoded as its
-  /// completion arrives (AsyncMultiGet::WaitNext), while the other
-  /// batches are still in flight. Rows and every CountersEqual field are
-  /// bit-identical across the two modes; the hidden per-round network
-  /// time is merged into `fanout_stats` (nullable) for the caller's
-  /// ChargeFanoutOverlap fold.
+  /// path the interleaved extension strategy runs on. `fanout` and
+  /// `fanout_stats` pass through to both rounds' Cluster::MultiGet: rows
+  /// and every CountersEqual field are identical across fan-out modes, and
+  /// under kOverlapped each round's hidden network time is merged into
+  /// `fanout_stats` (nullable) for the caller's ChargeFanoutOverlap fold.
   Result<std::vector<std::vector<Tuple>>> MultiGetBlocks(
       const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
-      FanoutMode fanout, FanoutStats* fanout_stats) const;
+      FanoutMode fanout = FanoutMode::kSerial,
+      FanoutStats* fanout_stats = nullptr) const;
 
   /// Header-only fetch: per-Y-column aggregates of the block. Meters one get
   /// per segment but only the header bytes / one value per column.
@@ -91,20 +83,12 @@ class BaavStore {
                                    QueryMetrics* m) const;
 
   /// Batched header-only fetch: MultiGetBlocks' counterpart for the stats
-  /// pushdown path. One BlockStats per key, aligned with `keys`.
-  Result<std::vector<BlockStats>> MultiGetBlockStats(
-      const KvSchema& kv, const std::vector<Tuple>& keys,
-      QueryMetrics* m) const;
-
-  /// Fan-out-aware stats fetch: the MultiGetBlocks twin for the stats
-  /// pushdown path, with the same serial/overlapped contract (stats and
-  /// counters bit-identical across modes; overlap reported through
-  /// `fanout_stats`). Overflow-segment stats are staged per extra key and
-  /// merged in ascending key order after the drain, so the float sums in
-  /// MergeBlockStats see the serial path's exact association.
+  /// pushdown path, with the same fan-out pass-through. One BlockStats per
+  /// key, aligned with `keys`.
   Result<std::vector<BlockStats>> MultiGetBlockStats(
       const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
-      FanoutMode fanout, FanoutStats* fanout_stats) const;
+      FanoutMode fanout = FanoutMode::kSerial,
+      FanoutStats* fanout_stats = nullptr) const;
 
   /// Full scan of a KV instance (the non-scan-free path): one next() per
   /// block segment plus the shipped bytes.

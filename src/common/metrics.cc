@@ -96,7 +96,7 @@ bool CountersEqual(const QueryMetrics& a, const QueryMetrics& b) {
          a.net_queue_seconds == b.net_queue_seconds;
   // Deliberately NOT compared: net_overlap_ns / net_inflight_max (the
   // schedule-shape fields — they describe how the fan-out overlapped its
-  // round trips, which varies between the serial and async APIs by
+  // round trips, which varies between the two fan-out modes by
   // design) and the wall_* timings (they measure the machine). The lint
   // (tools/lint_invariants.py) pins both exemption lists.
 }

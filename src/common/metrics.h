@@ -12,9 +12,9 @@
 
 namespace zidian {
 
-/// Schedule-shape summary of one overlapped fan-out (what an
-/// AsyncMultiGet handle reports at Finish, and what a worker accumulates
-/// across its fan-out rounds): how many modeled nanoseconds the fan-out
+/// Schedule-shape summary of one overlapped fan-out (what
+/// Cluster::MultiGet reports under FanoutMode::kOverlapped, and what a
+/// worker accumulates across its fan-out rounds): how many modeled nanoseconds the fan-out
 /// removed from its critical path by keeping every touched node's batch
 /// in flight together (sum of per-node batch latencies minus the max),
 /// and how many per-node batches were in flight at once. Pure functions
@@ -114,8 +114,8 @@ struct QueryMetrics {
                                  ///< (kba/makespan.h FinalizeNetworkQueue;
                                  ///< deterministic, unlike wall_*)
 
-  // Schedule-shape observability for the overlapped fan-out path
-  // (Cluster::MultiGetAsync). Like the makespans these are set at the
+  // Schedule-shape observability for the overlapped fan-out
+  // (FanoutMode::kOverlapped). Like the makespans these are set at the
   // executors' merge points (kba/makespan.h ChargeFanoutOverlap), and
   // like wall_* they are EXCLUDED from CountersEqual: they describe HOW
   // the round trips were scheduled, which legitimately varies with the

@@ -50,8 +50,9 @@ enum class ParallelMode {
 
 std::string_view ParallelModeName(ParallelMode mode);
 
-/// How a storage fan-out issues its per-node batches. Orthogonal to
-/// ParallelMode: either fan-out shape runs under either mode, and the
+/// When a storage fan-out stalls on its per-node batches — a stall policy
+/// inside one issue-then-drain path (Cluster::MultiGet, TaavScanTable),
+/// not a choice between implementations. Orthogonal to ParallelMode: either fan-out shape runs under either mode, and the
 /// determinism contract requires rows and CountersEqual counters to be
 /// bit-identical across all four combinations — only the schedule-shape
 /// fields (net_overlap_ns / net_inflight_max) and modeled makespan may
@@ -60,9 +61,8 @@ enum class FanoutMode {
   kSerial,      ///< one per-node batch in flight at a time; the caller
                 ///< stalls on each before issuing the next (the seed
                 ///< behavior, and the default)
-  kOverlapped,  ///< all touched nodes' batches issued before waiting on
-                ///< any (Cluster::MultiGetAsync); decode proceeds per
-                ///< node as its completion arrives
+  kOverlapped,  ///< all touched nodes' batches issued at one modeled
+                ///< instant, then one wait for the latest completion
 };
 
 std::string_view FanoutModeName(FanoutMode mode);

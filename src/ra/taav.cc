@@ -51,205 +51,18 @@ Status TaavDeleteTuple(Cluster* cluster, const TableSchema& schema,
 
 Result<Relation> TaavScanTable(const Cluster& cluster,
                                const TableSchema& schema,
-                               const std::string& alias, QueryMetrics* m) {
-  return TaavScanTable(cluster, schema, alias, m, nullptr, 1);
-}
-
-Result<Relation> TaavScanTable(const Cluster& cluster,
-                               const TableSchema& schema,
-                               const std::string& alias, QueryMetrics* m,
-                               ThreadPool* pool, int workers) {
-  return TaavScanTable(cluster, schema, alias, m, pool, workers,
-                       FanoutMode::kSerial);
-}
-
-Result<Relation> TaavScanTable(const Cluster& cluster,
-                               const TableSchema& schema,
                                const std::string& alias, QueryMetrics* m,
                                ThreadPool* pool, int workers,
                                FanoutMode fanout) {
   std::vector<std::string> cols;
   for (const auto& c : schema.columns()) cols.push_back(alias + "." + c.name);
   Relation out(std::move(cols));
-
-  // Each simulated per-tuple get is priced by the cluster's NetworkModel
-  // (one request of the pair's bytes to the owning node) — the baseline's
-  // per-tuple round-trip cost, paid back-to-back sequentially and
-  // overlapped under kThreads, which is what makespan_net predicts. One
-  // get + arity values metered per tuple on either path below; the totals
-  // — and the row order — cannot differ between them. (The flat-RTT shim
-  // reduces this to the historical per-tuple stall.)
   const NetworkModel* net = cluster.network();
   auto start = std::chrono::steady_clock::now();
 
-  if (fanout == FanoutMode::kOverlapped) {
-    // Overlapped fan-out: phase 1 enumerates sequentially (fixing the row
-    // order and the next()/byte metering), then every worker chunk —
-    // threaded under kThreads, looped on this thread under kSimulated —
-    // issues its per-tuple gets as per-node in-flight chains anchored at
-    // one common modeled instant. Requests to the same node chain off
-    // each other (their latencies sum, exactly what the serial schedule
-    // charges), chains to different nodes run concurrently, and the chunk
-    // stalls once, to its latest chain's completion, having decoded every
-    // payload while the requests were in flight.
-    std::vector<std::string> payloads;
-    std::vector<std::pair<int, uint32_t>> origins;  // (owning node, key bytes)
-    cluster.ScanPrefix(
-        TaavPrefix(schema.name()), m,
-        [&](std::string_view key, std::string_view value) {
-          origins.emplace_back(cluster.NodeFor(key),
-                               static_cast<uint32_t>(key.size()));
-          payloads.emplace_back(value);
-        });
-    const size_t p = static_cast<size_t>(std::max(1, workers));
-    struct WorkerSlot {
-      Relation partial;
-      QueryMetrics m;
-      Status status;
-      FanoutStats fanout;
-    };
-    std::vector<WorkerSlot> slots(p);
-    const size_t num_nodes =
-        net != nullptr ? static_cast<size_t>(cluster.num_nodes()) : 0;
-    auto run_chunk = [&](size_t w) {
-      WorkerSlot& slot = slots[w];
-      auto [begin, end] = ChunkRange(payloads.size(), w, p);
-      std::vector<int64_t> node_next(num_nodes, 0);  // per-node chain heads
-      std::vector<uint64_t> node_lat(num_nodes, 0);  // per-node latency sums
-      uint64_t total_lat = 0;
-      int64_t max_wake = 0;
-      if (net != nullptr) {
-        const int64_t t0 = net->NowNs();
-        node_next.assign(num_nodes, t0);
-        max_wake = t0;
-      }
-      for (size_t i = begin; i < end; ++i) {
-        slot.m.get_calls += 1;
-        slot.m.values_accessed += schema.arity();
-        if (net != nullptr) {
-          const size_t node = static_cast<size_t>(origins[i].first);
-          NetworkModel::AsyncCost ac = net->OnGetAt(
-              origins[i].first, 1, origins[i].second + payloads[i].size(),
-              &slot.m, node_next[node]);
-          node_next[node] = ac.wake_ns;  // same-node requests stay serial
-          node_lat[node] += static_cast<uint64_t>(ac.latency_ns);
-          total_lat += static_cast<uint64_t>(ac.latency_ns);
-          if (ac.wake_ns > max_wake) max_wake = ac.wake_ns;
-        }
-        Tuple t;
-        std::string_view sv = payloads[i];
-        if (!DecodeTuplePayload(&sv, schema.arity(), &t)) {
-          slot.status = Status::Corruption("bad tuple in " + schema.name());
-          return;
-        }
-        slot.partial.Add(std::move(t));
-      }
-      if (net != nullptr) {
-        net->SleepUntil(max_wake);  // decode already happened, in flight
-        uint64_t busiest = 0;
-        uint64_t touched = 0;
-        for (uint64_t l : node_lat) {
-          busiest = std::max(busiest, l);
-          if (l > 0) ++touched;
-        }
-        slot.fanout.overlap_ns = total_lat - busiest;
-        slot.fanout.inflight_max = touched;
-      }
-    };
-    if (pool != nullptr && p > 1) {
-      pool->ParallelFor(p, run_chunk);
-    } else {
-      for (size_t w = 0; w < p; ++w) run_chunk(w);
-    }
-    std::vector<QueryMetrics> deltas;
-    std::vector<FanoutStats> fanouts;
-    deltas.reserve(p);
-    fanouts.reserve(p);
-    for (auto& slot : slots) {
-      ZIDIAN_RETURN_NOT_OK(slot.status);
-      if (m != nullptr) *m += slot.m;
-      deltas.push_back(slot.m);
-      fanouts.push_back(slot.fanout);
-      for (auto& row : slot.partial.rows()) out.Add(std::move(row));
-    }
-    if (m != nullptr) {
-      // The serial-schedule slowest worker still anchors makespan_net —
-      // identical to both serial paths below — and the hidden cross-node
-      // time lands in the schedule-shape fields only.
-      if (net != nullptr) {
-        uint64_t worst = 0;
-        for (const auto& d : deltas) {
-          worst = std::max(worst, d.net_service_ns);
-        }
-        m->makespan_net_seconds += static_cast<double>(worst) / 1e9;
-      }
-      ChargeFanoutOverlap(deltas, fanouts, m);
-      m->wall_fetch_seconds += std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count();
-    }
-    return out;
-  }
-
-  if (pool == nullptr || workers <= 1) {
-    // No threads to feed: stream-decode straight off the scan iterator,
-    // never materializing the encoded table a second time. Per-tuple
-    // network latencies are kept so the chunked per-worker maxima below
-    // can be computed exactly as the threaded path computes them.
-    Status decode_status = Status::OK();
-    std::vector<int64_t> net_lat_ns;
-    cluster.ScanPrefix(
-        TaavPrefix(schema.name()), m,
-        [&](std::string_view key, std::string_view value) {
-          if (m != nullptr) {
-            m->get_calls += 1;
-            m->values_accessed += schema.arity();
-          }
-          if (net != nullptr) {
-            int64_t lat = net->OnGet(cluster.NodeFor(key), 1,
-                                     key.size() + value.size(), m);
-            if (m != nullptr) net_lat_ns.push_back(lat);
-          }
-          Tuple t;
-          std::string_view sv = value;
-          if (!DecodeTuplePayload(&sv, schema.arity(), &t)) {
-            decode_status = Status::Corruption("bad tuple in " + schema.name());
-            return;
-          }
-          out.Add(std::move(t));
-        });
-    ZIDIAN_RETURN_NOT_OK(decode_status);
-    if (m != nullptr) {
-      // True per-worker network maxima: the per-tuple gets chunk over
-      // `workers` exactly as the threaded path chunks them, so a slow
-      // node whose tuples land in one chunk shows up in makespan_net
-      // identically in both modes (an even spread would hide the skew).
-      if (!net_lat_ns.empty()) {
-        size_t p = static_cast<size_t>(std::max(1, workers));
-        uint64_t worst = 0;
-        for (size_t w = 0; w < p; ++w) {
-          auto [begin, end] = ChunkRange(net_lat_ns.size(), w, p);
-          uint64_t sum = 0;
-          for (size_t i = begin; i < end; ++i) {
-            sum += static_cast<uint64_t>(net_lat_ns[i]);
-          }
-          worst = std::max(worst, sum);
-        }
-        m->makespan_net_seconds += static_cast<double>(worst) / 1e9;
-      }
-      m->wall_fetch_seconds += std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count();
-    }
-    return out;
-  }
-
-  // Threaded: phase 1 enumerates the keys sequentially (ScanPrefix meters
-  // the next()s and the shipped pair bytes, fixing the row order the
-  // chunking must reproduce), then phase 2 runs the per-tuple get+decode
-  // chunk-per-worker — each worker meters its own delta and decodes into
-  // its own slot, slots merge in worker order, so rows and counters are
-  // byte-identical to the streaming path.
+  // Phase 1 enumerates the keys sequentially: ScanPrefix meters the
+  // next()s and the shipped pair bytes, and fixes the row order the
+  // chunks below must reproduce.
   std::vector<std::string> payloads;
   std::vector<std::pair<int, uint32_t>> origins;  // (owning node, key bytes)
   cluster.ScanPrefix(TaavPrefix(schema.name()), m,
@@ -258,22 +71,51 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
                                             static_cast<uint32_t>(key.size()));
                        payloads.emplace_back(value);
                      });
-  size_t p = static_cast<size_t>(workers);
+
+  // Phase 2 runs the per-tuple get + decode chunk-per-worker — on the
+  // pool when given, inline otherwise. Each chunk meters its own delta
+  // and decodes into its own slot, and slots merge in worker order, so
+  // rows and counters do not depend on the pool or the fan-out mode.
+  // Each simulated get is priced by the NetworkModel (one request of the
+  // pair's bytes to the owning node). kSerial anchors each get at the
+  // current instant and stalls on it at once; kOverlapped chains each get
+  // off its node's previous completion — same-node requests stay
+  // serialized, exactly what the serial schedule charges — while chains
+  // to different nodes run concurrently, and the chunk stalls once, to
+  // its latest chain.
+  const bool overlapped = fanout == FanoutMode::kOverlapped;
+  const size_t p = static_cast<size_t>(std::max(1, workers));
   struct WorkerSlot {
     Relation partial;
     QueryMetrics m;
     Status status;
+    FanoutStats fanout;
   };
   std::vector<WorkerSlot> slots(p);
-  pool->ParallelFor(p, [&](size_t w) {
+  const size_t num_nodes =
+      net != nullptr ? static_cast<size_t>(cluster.num_nodes()) : 0;
+  auto run_chunk = [&](size_t w) {
     WorkerSlot& slot = slots[w];
     auto [begin, end] = ChunkRange(payloads.size(), w, p);
+    const int64_t t0 = net != nullptr ? net->NowNs() : 0;
+    std::vector<int64_t> node_next(num_nodes, t0);  // per-node chain heads
+    std::vector<uint64_t> node_lat(num_nodes, 0);   // per-node latency sums
+    int64_t max_wake = t0;
     for (size_t i = begin; i < end; ++i) {
       slot.m.get_calls += 1;
       slot.m.values_accessed += schema.arity();
       if (net != nullptr) {
-        net->OnGet(origins[i].first, 1, origins[i].second + payloads[i].size(),
-                   &slot.m);
+        const size_t node = static_cast<size_t>(origins[i].first);
+        NetworkModel::AsyncCost ac = net->OnGetAt(
+            origins[i].first, 1, origins[i].second + payloads[i].size(),
+            &slot.m, overlapped ? node_next[node] : net->NowNs());
+        if (overlapped) {
+          node_next[node] = ac.wake_ns;
+          node_lat[node] += static_cast<uint64_t>(ac.latency_ns);
+          max_wake = std::max(max_wake, ac.wake_ns);
+        } else {
+          net->SleepUntil(ac.wake_ns);
+        }
       }
       Tuple t;
       std::string_view sv = payloads[i];
@@ -283,22 +125,42 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
       }
       slot.partial.Add(std::move(t));
     }
-  });
+    if (overlapped && net != nullptr) {
+      net->SleepUntil(max_wake);  // decode already happened, in flight
+      uint64_t total = 0;
+      uint64_t busiest = 0;
+      for (uint64_t l : node_lat) {
+        total += l;
+        busiest = std::max(busiest, l);
+        if (l > 0) slot.fanout.inflight_max += 1;
+      }
+      slot.fanout.overlap_ns = total - busiest;
+    }
+  };
+  if (pool != nullptr && p > 1) {
+    pool->ParallelFor(p, run_chunk);
+  } else {
+    for (size_t w = 0; w < p; ++w) run_chunk(w);
+  }
+
+  std::vector<QueryMetrics> deltas;
+  std::vector<FanoutStats> fanouts;
+  deltas.reserve(p);
+  fanouts.reserve(p);
   for (auto& slot : slots) {
     ZIDIAN_RETURN_NOT_OK(slot.status);
     if (m != nullptr) *m += slot.m;
+    deltas.push_back(slot.m);
+    fanouts.push_back(slot.fanout);
     for (auto& row : slot.partial.rows()) out.Add(std::move(row));
   }
   if (m != nullptr) {
-    // The slowest worker's network time for this scan — the per-worker
-    // deltas ARE the chunk sums the sequential path reconstructs above.
-    if (net != nullptr) {
-      uint64_t worst = 0;
-      for (const auto& slot : slots) {
-        worst = std::max(worst, slot.m.net_service_ns);
-      }
-      m->makespan_net_seconds += static_cast<double>(worst) / 1e9;
-    }
+    // The slowest chunk's serial-schedule network time anchors
+    // makespan_net (a slow node whose tuples land in one chunk shows up
+    // in full, however the chunks ran); the time kOverlapped hid lands
+    // in the schedule-shape fields only.
+    m->makespan_net_seconds += MaxWorkerNetSeconds(deltas);
+    ChargeFanoutOverlap(deltas, fanouts, m);
     m->wall_fetch_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

@@ -1,7 +1,6 @@
-// Simulated network substrate between the SQL layer and the storage nodes
-// (replaces the flat ClusterOptions::round_trip_latency_us knob). The
-// paper's cost model is phrased in communication rounds; this subsystem
-// gives each round a price and each storage node a queue, so the
+// Simulated network substrate between the SQL layer and the storage
+// nodes. The paper's cost model is phrased in communication rounds; this
+// subsystem gives each round a price and each storage node a queue, so the
 // KBA-vs-TaaV round-trip advantage can be studied under realistic load:
 //
 //  * Per-request fixed latency (`rtt_us`): wire propagation — paid once
@@ -234,12 +233,12 @@ class NetworkModel {
   // over several nodes pays the SUM of per-node latencies. The *At
   // variants split each call into its issue half (meter + claim the node
   // clock at a caller-supplied modeled instant; never sleeps) and leave
-  // the wait half to the caller (SleepUntil per completion), so a worker
+  // the wait half to the caller (SleepUntil), so a worker
   // can issue EVERY touched node's batch at one common instant and the
   // independent latencies overlap — the makespan becomes the max. The
   // metering is byte-identical to the stalling calls (same Cost, same
   // counters, same fault verdicts): only the stall schedule differs,
-  // which is why sync and async fan-outs satisfy CountersEqual.
+  // which is why serial and overlapped fan-outs satisfy CountersEqual.
 
   /// The modeled completion of one issued request.
   struct AsyncCost {
@@ -263,8 +262,7 @@ class NetworkModel {
   void SleepUntil(int64_t wake_ns) const;
 
   /// One write: metered identically to OnGet but never stalled — bulk
-  /// loads and maintenance writes must not crawl (the same contract the
-  /// old round_trip_latency_us knob had). The write still occupies the
+  /// loads and maintenance writes must not crawl. The write still occupies the
   /// node's clock, so an in-flight write delays subsequent reads.
   void OnWrite(int node, uint64_t keys, uint64_t bytes, QueryMetrics* m) const;
 
@@ -339,7 +337,7 @@ class NetworkModel {
   /// modeled instant `call_now_ns`, and returns the absolute modeled
   /// instant the last key resolves instead of stalling. An overlapped
   /// caller issues one of these per touched node at a common instant and
-  /// SleepUntil()s each returned wake as it drains completions. Verdicts
+  /// SleepUntil()s the latest returned wake. Verdicts
   /// and fault counters never read the clock, so they are bit-identical
   /// to the stalling path under any completion interleaving.
   int64_t FetchWithRecoveryAt(const std::vector<int>& replicas,

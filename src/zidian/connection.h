@@ -98,8 +98,8 @@ struct ExecOptions {
   /// Per-worker stall schedule over the storage nodes, on BOTH routes:
   /// kSerial (default) keeps one per-node request in flight at a time;
   /// kOverlapped issues every touched node's batch before waiting on any
-  /// (Cluster::MultiGetAsync on the KBA route, per-node request chains
-  /// on the TaaV scan). Rows and CountersEqual metrics are invariant —
+  /// (Cluster::MultiGet on the KBA route, per-node request chains on the
+  /// TaaV scan). Rows and CountersEqual metrics are invariant —
   /// only the schedule-shape metrics (net_overlap_ns / net_inflight_max),
   /// the modeled makespan and the wall clock move.
   FanoutMode fanout = FanoutMode::kSerial;

@@ -1,11 +1,11 @@
-// The sync-vs-async fan-out parity battery. Cluster::MultiGetAsync (and
-// the overlapped per-node request chains on the TaaV scan) must be
-// indistinguishable from the serial fan-out everywhere the determinism
-// contract can look: byte-identical values, per-slot failure flags and
-// statuses at the Cluster layer; byte-identical rows and CountersEqual
-// metrics at the query layer — across both engines, both parallel modes
-// (kSimulated / kThreads), worker counts 1/2/4/8, and repeated threaded
-// runs. Only the schedule-shape fields (net_overlap_ns /
+// The serial-vs-overlapped fan-out parity battery. FanoutMode::kOverlapped
+// on Cluster::MultiGet (and the overlapped per-node request chains on the
+// TaaV scan) must be indistinguishable from the serial fan-out everywhere
+// the determinism contract can look: byte-identical values, per-slot failure
+// flags and statuses at the Cluster layer; byte-identical rows and
+// CountersEqual metrics at the query layer — across both engines, both
+// parallel modes (kSimulated / kThreads), worker counts 1/2/4/8, and
+// repeated threaded runs. Only the schedule-shape fields (net_overlap_ns /
 // net_inflight_max), which CountersEqual ignores, may differ between
 // FanoutMode::kSerial and kOverlapped — and those must themselves be
 // deterministic: equal across parallel modes for a fixed partition.
@@ -56,120 +56,83 @@ size_t TouchedNodes(const Cluster& cluster,
   return nodes.size();
 }
 
-void ExpectSameOutcome(const MultiGetResult& sync_res,
-                       const MultiGetResult& async_res, size_t n) {
-  EXPECT_EQ(sync_res.ok(), async_res.ok());
-  EXPECT_EQ(sync_res.status.ToString(), async_res.status.ToString());
+void ExpectSameOutcome(const MultiGetResult& serial,
+                       const MultiGetResult& overlapped, size_t n) {
+  EXPECT_EQ(serial.ok(), overlapped.ok());
+  EXPECT_EQ(serial.status.ToString(), overlapped.status.ToString());
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(sync_res[i].has_value(), async_res[i].has_value()) << i;
-    if (sync_res[i].has_value()) {
-      EXPECT_EQ(*sync_res[i], *async_res[i]) << i;
+    ASSERT_EQ(serial[i].has_value(), overlapped[i].has_value()) << i;
+    if (serial[i].has_value()) {
+      EXPECT_EQ(*serial[i], *overlapped[i]) << i;
     }
-    EXPECT_EQ(sync_res.Failed(i), async_res.Failed(i)) << i;
+    EXPECT_EQ(serial.Failed(i), overlapped.Failed(i)) << i;
   }
 }
 
-TEST(AsyncMultiGetTest, FinishMatchesSyncByteForByte) {
+/// One MultiGet under each fan-out mode over the same keys; the serial
+/// run's `stats` must stay untouched (only kOverlapped reports a shape).
+struct FanoutPair {
+  MultiGetResult serial;
+  MultiGetResult overlapped;
+  QueryMetrics ms;
+  QueryMetrics mo;
+  FanoutStats fs;
+};
+
+FanoutPair RunBothFanouts(const Cluster& cluster,
+                          const std::vector<std::string>& keys,
+                          CacheFill fill) {
+  FanoutPair r;
+  FanoutStats serial_fs;
+  r.serial = cluster.MultiGet(keys, &r.ms, fill, FanoutMode::kSerial,
+                              &serial_fs);
+  EXPECT_EQ(serial_fs.overlap_ns, 0u);
+  EXPECT_EQ(serial_fs.inflight_max, 0u);
+  r.overlapped =
+      cluster.MultiGet(keys, &r.mo, fill, FanoutMode::kOverlapped, &r.fs);
+  return r;
+}
+
+TEST(FanoutMultiGetTest, OverlappedMatchesSerialByteForByte) {
   Cluster cluster(NetworkedClusterOptions());
   std::vector<std::string> keys = SeedKeys(&cluster, 60);
   keys.push_back("never-written-a");  // absent slots take the same path
   keys.push_back("never-written-b");
 
   // kNoFill keeps both runs cold even under the cache-enabled ctest
-  // configuration — the sync run must not warm the async one's keys.
-  QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
-  ASSERT_TRUE(sync_res.ok()) << sync_res.status.ToString();
+  // configuration — the serial run must not warm the overlapped one's keys.
+  FanoutPair r = RunBothFanouts(cluster, keys, CacheFill::kNoFill);
+  ASSERT_TRUE(r.serial.ok()) << r.serial.status.ToString();
 
-  QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
-  FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
-
-  ExpectSameOutcome(sync_res, async_res, keys.size());
+  ExpectSameOutcome(r.serial, r.overlapped, keys.size());
   // Identical logical work: CountersEqual cannot tell the fan-outs apart.
-  EXPECT_TRUE(CountersEqual(ms, ma))
-      << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
+  EXPECT_TRUE(CountersEqual(r.ms, r.mo))
+      << "serial: " << r.ms.ToString() << "\noverlapped: " << r.mo.ToString();
   // The schedule shape is where they differ: with 4 healthy nodes in
   // flight together, all but the slowest batch's latency is hidden.
-  EXPECT_GT(fs.overlap_ns, 0u);
-  EXPECT_EQ(fs.inflight_max, TouchedNodes(cluster, keys));
+  EXPECT_GT(r.fs.overlap_ns, 0u);
+  EXPECT_EQ(r.fs.inflight_max, TouchedNodes(cluster, keys));
 }
 
-TEST(AsyncMultiGetTest, WaitNextDrainsEveryBatchOnceInWakeOrder) {
-  Cluster cluster(NetworkedClusterOptions());
-  std::vector<std::string> keys = SeedKeys(&cluster, 60);
-
-  QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
-
-  QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
-  const size_t batches = handle.batches().size();
-  EXPECT_EQ(handle.inflight(), batches);
-  EXPECT_EQ(batches, TouchedNodes(cluster, keys));
-
-  // Drain by hand: every batch exactly once, in non-decreasing modeled
-  // wake order, slots covering the key range exactly once.
-  std::vector<int> seen;
-  int64_t last_wake = 0;
-  std::vector<uint8_t> slot_seen(keys.size(), 0);
-  for (int b = handle.WaitNext(); b >= 0; b = handle.WaitNext()) {
-    const AsyncNodeBatch& batch = handle.batches()[static_cast<size_t>(b)];
-    ASSERT_TRUE(batch.done.Ready());
-    int64_t wake = batch.done.Get();
-    EXPECT_GE(wake, last_wake);
-    last_wake = wake;
-    for (uint32_t s : batch.slots) {
-      ASSERT_LT(s, keys.size());
-      EXPECT_EQ(slot_seen[s], 0) << "slot " << s << " delivered twice";
-      slot_seen[s] = 1;
-      EXPECT_EQ(cluster.NodeFor(keys[s]), batch.node);
-    }
-    seen.push_back(b);
-  }
-  EXPECT_EQ(seen.size(), batches);
-  EXPECT_EQ(handle.inflight(), 0u);
-  EXPECT_EQ(handle.WaitNext(), -1);  // drained handles stay drained
-  for (uint8_t s : slot_seen) EXPECT_EQ(s, 1);
-
-  // Finish after a manual drain adds no stalls and returns the result.
-  FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
-  ExpectSameOutcome(sync_res, async_res, keys.size());
-  EXPECT_TRUE(CountersEqual(ms, ma))
-      << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
-  EXPECT_GT(fs.overlap_ns, 0u);
-}
-
-TEST(AsyncMultiGetTest, NoNetworkModelCompletesAtIssue) {
+TEST(FanoutMultiGetTest, NoNetworkModelHasNothingToOverlap) {
   // Without a NetworkModel there is no modeled time to overlap: the
-  // futures are ready the moment MultiGetAsync returns, and the result
-  // still matches the sync path exactly.
+  // overlapped fan-out hides nothing, and the result still matches the
+  // serial path exactly.
   Cluster cluster(
       ClusterOptions{.num_storage_nodes = 4, .backend = BackendKind::kMem});
   std::vector<std::string> keys = SeedKeys(&cluster, 40);
 
-  QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
-
-  QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
-  for (const AsyncNodeBatch& b : handle.batches()) {
-    EXPECT_TRUE(b.done.Ready());
-  }
-  FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
-  ExpectSameOutcome(sync_res, async_res, keys.size());
-  EXPECT_TRUE(CountersEqual(ms, ma))
-      << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
-  EXPECT_EQ(fs.overlap_ns, 0u);
+  FanoutPair r = RunBothFanouts(cluster, keys, CacheFill::kNoFill);
+  ExpectSameOutcome(r.serial, r.overlapped, keys.size());
+  EXPECT_TRUE(CountersEqual(r.ms, r.mo))
+      << "serial: " << r.ms.ToString() << "\noverlapped: " << r.mo.ToString();
+  EXPECT_EQ(r.fs.overlap_ns, 0u);
 }
 
-TEST(AsyncMultiGetTest, FullyCachedBatchIssuesNoBatches) {
+TEST(FanoutMultiGetTest, FullyCachedBatchIssuesNoBatches) {
   // A cache hit never left the middleware, so it has nothing to overlap:
-  // a fully warmed batch produces an empty handle and zero round trips —
-  // on the async path exactly as on the sync one.
+  // a fully warmed batch issues no batch and zero round trips — under the
+  // overlapped fan-out exactly as under the serial one.
   ClusterOptions co = NetworkedClusterOptions();
   co.cache = {.capacity_bytes = 1 << 20, .shards = 4};
   Cluster cluster(co);
@@ -178,20 +141,14 @@ TEST(AsyncMultiGetTest, FullyCachedBatchIssuesNoBatches) {
   QueryMetrics warm;
   (void)cluster.MultiGet(keys, &warm);  // bring every key into the cache
 
-  QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms);
-  QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma);
-  EXPECT_TRUE(handle.batches().empty());
-  FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
-  ExpectSameOutcome(sync_res, async_res, keys.size());
-  EXPECT_TRUE(CountersEqual(ms, ma))
-      << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
-  EXPECT_EQ(ma.cache_hits, keys.size());
-  EXPECT_EQ(ma.get_round_trips, 0u);
-  EXPECT_EQ(fs.overlap_ns, 0u);
-  EXPECT_EQ(fs.inflight_max, 0u);
+  FanoutPair r = RunBothFanouts(cluster, keys, CacheFill::kFill);
+  ExpectSameOutcome(r.serial, r.overlapped, keys.size());
+  EXPECT_TRUE(CountersEqual(r.ms, r.mo))
+      << "serial: " << r.ms.ToString() << "\noverlapped: " << r.mo.ToString();
+  EXPECT_EQ(r.mo.cache_hits, keys.size());
+  EXPECT_EQ(r.mo.get_round_trips, 0u);
+  EXPECT_EQ(r.fs.overlap_ns, 0u);
+  EXPECT_EQ(r.fs.inflight_max, 0u);
 }
 
 // ------------------------------------------------- query-level parity ---
@@ -304,8 +261,8 @@ class AsyncParityFixture : public ::testing::TestWithParam<BackendKind> {
 
 TEST_P(AsyncParityFixture, KbaRouteSyncVsAsyncSweep) {
   // mot-q6, the deepest extension chain in the sweep: per-worker batched
-  // MultiGets through BaavStore::MultiGetBlocks — the MultiGetAsync
-  // decode-as-completions-arrive path. The MOT seed queries extend from a
+  // MultiGets through BaavStore::MultiGetBlocks — the overlapped
+  // Cluster::MultiGet path. The MOT seed queries extend from a
   // single seed block, so each batch touches few nodes; positive overlap
   // is asserted by the wide direct-plan sweep below, parity here.
   SweepRoute(RoutePolicy::kAuto, /*query_index=*/5, /*repeats=*/30,

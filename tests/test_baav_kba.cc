@@ -214,6 +214,66 @@ TEST_F(BaavStoreFixture, DegreeScanFailureDoesNotPoisonCache) {
   EXPECT_EQ(*healed, 10u);
 }
 
+// Decode errors surface through the one fan-out path: a corrupt segment-0
+// header and a missing overflow segment fail both batched fetches with
+// Corruption under either stall schedule, having metered the same work.
+TEST_F(BaavStoreFixture, DecodeErrorsFailAlikeUnderEveryFanoutMode) {
+  ClusterOptions co{.num_storage_nodes = 3, .backend = BackendKind::kMem};
+  co.network.link.rtt_us = 5;
+  Cluster net(co);
+  net.SetCacheBypass(true);  // both schedules must reach the nodes
+  BaavStore split(&net, schema_, &catalog_,
+                  BaavStoreOptions{.block_split_threshold_bytes = 64});
+  ASSERT_TRUE(split.BuildInstance(kv(), data_).ok());
+  const std::vector<Tuple> keys = {
+      {Value(int64_t{1})}, {Value(int64_t{2})}, {Value(int64_t{3})}};
+  auto segment_key = [&](int64_t dept, int64_t segment) {
+    std::string k = "B";  // the key layout documented in baav_store.h
+    EncodeOrderedString(&k, kv().name);
+    k += EncodeKeyTuple({Value(dept)});
+    EncodeOrderedInt64(&k, segment);
+    return k;
+  };
+
+  QueryMetrics healthy;
+  auto rows = split.MultiGetBlocks(kv(), keys, &healthy);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  for (const auto& block : *rows) EXPECT_EQ(block.size(), 10u);
+  ASSERT_GT(healthy.get_calls, keys.size());  // overflow segments exist
+
+  auto expect_corruption = [&](const std::string& what) {
+    QueryMetrics blocks_m[2], stats_m[2];
+    size_t i = 0;
+    for (FanoutMode fanout : {FanoutMode::kSerial, FanoutMode::kOverlapped}) {
+      auto blocks = split.MultiGetBlocks(kv(), keys, &blocks_m[i], fanout);
+      EXPECT_TRUE(blocks.status().IsCorruption()) << blocks.status().ToString();
+      EXPECT_NE(blocks.status().ToString().find(what), std::string::npos)
+          << blocks.status().ToString();
+      auto stats = split.MultiGetBlockStats(kv(), keys, &stats_m[i], fanout);
+      EXPECT_TRUE(stats.status().IsCorruption()) << stats.status().ToString();
+      EXPECT_NE(stats.status().ToString().find(what), std::string::npos)
+          << stats.status().ToString();
+      ++i;
+    }
+    EXPECT_TRUE(CountersEqual(blocks_m[0], blocks_m[1]))
+        << "serial: " << blocks_m[0].ToString()
+        << "\noverlapped: " << blocks_m[1].ToString();
+    EXPECT_TRUE(CountersEqual(stats_m[0], stats_m[1]))
+        << "serial: " << stats_m[0].ToString()
+        << "\noverlapped: " << stats_m[1].ToString();
+  };
+
+  const std::string seg0 = segment_key(2, 0);
+  auto seg0_value = net.Get(seg0, nullptr);
+  ASSERT_TRUE(seg0_value.ok()) << seg0_value.status().ToString();
+  ASSERT_TRUE(net.Put(seg0, std::string(12, '\xff')).ok());
+  expect_corruption("bad segment header");
+
+  ASSERT_TRUE(net.Put(seg0, *seg0_value).ok());
+  ASSERT_TRUE(net.Delete(segment_key(2, 1)).ok());
+  expect_corruption("missing segment");
+}
+
 TEST_F(BaavStoreFixture, ScanVisitsEveryBlockOnce) {
   QueryMetrics m;
   size_t blocks = 0, tuples = 0;
@@ -320,7 +380,7 @@ TEST_F(KbaFixture, ExtendFetchesBlocksByChildValues) {
       "emp@dept", "e", {{"d", "dept"}});
   KbaExecutor exec(store_.get());
   QueryMetrics m;
-  auto out = exec.Execute(*plan, 1, &m);
+  auto out = exec.Execute(*plan, KbaExecOptions{}, &m);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->rel.size(), 20u);  // two blocks of 10
   EXPECT_EQ(m.get_calls, 2u);      // one get per distinct key
@@ -340,8 +400,8 @@ TEST_F(KbaFixture, ExtendEqualsJoinOnRelationalVersion) {
                     {{"d", "e.dept"}});
   KbaExecutor exec(store_.get());
   QueryMetrics m1, m2;
-  auto via_extend = exec.Execute(*extend_plan, 1, &m1);
-  auto via_join = exec.Execute(*join_plan, 1, &m2);
+  auto via_extend = exec.Execute(*extend_plan, KbaExecOptions{}, &m1);
+  auto via_join = exec.Execute(*join_plan, KbaExecOptions{}, &m2);
   ASSERT_TRUE(via_extend.ok());
   ASSERT_TRUE(via_join.ok());
   Relation a = via_extend->rel.Project({"d", "e.id", "e.salary"});
@@ -358,7 +418,7 @@ TEST_F(KbaFixture, ShiftPreservesRelationalVersion) {
                              {"e.id"});
   KbaExecutor exec(store_.get());
   QueryMetrics m;
-  auto out = exec.Execute(*plan, 1, &m);
+  auto out = exec.Execute(*plan, KbaExecOptions{}, &m);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->key_cols, (std::vector<std::string>{"e.id"}));
   EXPECT_EQ(out->rel.size(), 40u);
@@ -371,11 +431,11 @@ TEST_F(KbaFixture, UnionAndDiffUseSetSemantics) {
   KbaExecutor exec(store_.get());
   QueryMetrics m;
   auto u = exec.Execute(*KbaPlan::Union(KbaPlan::Const(a), KbaPlan::Const(b)),
-                        1, &m);
+                        KbaExecOptions{}, &m);
   ASSERT_TRUE(u.ok());
   EXPECT_EQ(u->rel.size(), 3u);
   auto d = exec.Execute(*KbaPlan::Diff(KbaPlan::Const(a), KbaPlan::Const(b)),
-                        1, &m);
+                        KbaExecOptions{}, &m);
   ASSERT_TRUE(d.ok());
   ASSERT_EQ(d->rel.size(), 1u);
   EXPECT_EQ(d->rel.rows()[0][0].AsInt(), 1);
@@ -401,8 +461,8 @@ TEST_F(KbaFixture, StatsOnlyExtendMatchesFullAggregation) {
   };
   KbaExecutor exec(store_.get());
   QueryMetrics stats_m, full_m;
-  auto via_stats = exec.Execute(*mk(true), 1, &stats_m);
-  auto via_full = exec.Execute(*mk(false), 1, &full_m);
+  auto via_stats = exec.Execute(*mk(true), KbaExecOptions{}, &stats_m);
+  auto via_full = exec.Execute(*mk(false), KbaExecOptions{}, &full_m);
   ASSERT_TRUE(via_stats.ok()) << via_stats.status().ToString();
   ASSERT_TRUE(via_full.ok());
   Relation a = via_stats->rel, b = via_full->rel;

@@ -7,7 +7,7 @@
 // request stream): bit-identical across ParallelMode::kSimulated /
 // kThreads, across worker counts, and under any batch partitioning — and
 // across fan-out shapes: the overlapped per-node fan-out
-// (Cluster::MultiGetAsync, FanoutMode::kOverlapped) runs the same
+// (FanoutMode::kOverlapped on Cluster::MultiGet) runs the same
 // recovery machine with its per-node completions racing, and must land
 // on the same rows, per-key outcomes and bit-identical fault counters as
 // the serial fan-out.
@@ -314,13 +314,20 @@ TEST(ClusterRecoveryTest, HedgedReadsWinDeterministically) {
       << "m1: " << m1.ToString() << "\nm2: " << m2.ToString();
 }
 
-// --------------------------- cluster: recovery through MultiGetAsync ---
+// ---------------------- cluster: recovery through the overlapped fan-out ---
 
 // The overlapped fan-out runs the same recovery machine per node batch,
 // with the completions racing each other — and must land on the same
 // per-key outcomes and the same bit-identical fault counters as the
 // serial fan-out. CacheFill::kNoFill keeps the compared runs cold under
 // the cache-enabled ctest configuration.
+
+MultiGetResult OverlappedMultiGet(const Cluster& cluster,
+                                  const std::vector<std::string>& keys,
+                                  QueryMetrics* m, FanoutStats* fs) {
+  return cluster.MultiGet(keys, m, CacheFill::kNoFill,
+                          FanoutMode::kOverlapped, fs);
+}
 
 TEST(ClusterRecoveryAsyncTest, ReplicaRescueMatchesSyncThroughAsyncFanout) {
   ClusterOptions co{.num_storage_nodes = 4, .backend = BackendKind::kMem};
@@ -342,9 +349,8 @@ TEST(ClusterRecoveryAsyncTest, ReplicaRescueMatchesSyncThroughAsyncFanout) {
   ASSERT_TRUE(sync_res.ok()) << sync_res.status.ToString();
 
   QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
   FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
+  MultiGetResult async_res = OverlappedMultiGet(cluster, keys, &ma, &fs);
   ASSERT_TRUE(async_res.ok()) << async_res.status.ToString();
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_TRUE(async_res[i].has_value()) << keys[i];
@@ -381,14 +387,11 @@ TEST(ClusterRecoveryAsyncTest, CleanExhaustionMatchesSyncThroughAsyncFanout) {
   MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
   ASSERT_FALSE(sync_res.ok());
 
+  // Verdicts never read the clock: the surviving batches still complete
+  // and the unreachable keys fail exactly as on the serial fan-out.
   QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
-  // Verdicts are decided at issue: the failure is visible on the handle
-  // before any stall is paid, and surviving batches still complete.
-  EXPECT_TRUE(handle.result().status.IsUnavailable())
-      << handle.result().status.ToString();
   FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
+  MultiGetResult async_res = OverlappedMultiGet(cluster, keys, &ma, &fs);
   ASSERT_FALSE(async_res.ok());
   EXPECT_TRUE(async_res.status.IsUnavailable()) << async_res.status.ToString();
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -435,10 +438,8 @@ TEST(ClusterRecoveryAsyncTest, HedgeDeterminismHoldsThroughAsyncFanout) {
   QueryMetrics first_run;
   for (int run = 0; run < 3; ++run) {
     QueryMetrics ma;
-    AsyncMultiGet handle =
-        cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
     FanoutStats fs;
-    MultiGetResult async_res = handle.Finish(&fs);
+    MultiGetResult async_res = OverlappedMultiGet(cluster, keys, &ma, &fs);
     ASSERT_TRUE(async_res.ok()) << async_res.status.ToString();
     for (size_t i = 0; i < keys.size(); ++i) {
       ASSERT_TRUE(async_res[i].has_value()) << keys[i];
@@ -538,9 +539,8 @@ class FaultParityFixture : public ::testing::TestWithParam<BackendKind> {
       }
 
       // Both fan-out shapes under both parallel modes: the overlapped
-      // fan-out (Cluster::MultiGetAsync) runs every node's recovery
-      // machine with the completions racing, and still may not move a
-      // row or a fault counter.
+      // fan-out runs every node's recovery machine with the completions
+      // racing, and still may not move a row or a fault counter.
       for (FanoutMode fanout : {FanoutMode::kSerial, FanoutMode::kOverlapped}) {
         AnswerInfo osim;
         auto o = prepared->Execute(

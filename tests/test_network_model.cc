@@ -180,13 +180,12 @@ TEST(ClusterNetworkTest, MultiGetPaysOneRoundTripPerNodeSinglesPayPerKey) {
 }
 
 TEST(ClusterNetworkTest, FlatRttKnobIsADegenerateUniformModel) {
-  ClusterOptions co{.num_storage_nodes = 2,
-                    .backend = BackendKind::kMem,
-                    .round_trip_latency_us = 2000};
+  ClusterOptions co{.num_storage_nodes = 2, .backend = BackendKind::kMem};
+  co.network.link.rtt_us = 2000;  // a flat RTT and nothing else
   Cluster cluster(co);
   cluster.SetCacheBypass(true);  // see above: round-trip counting test
   ASSERT_NE(cluster.network(), nullptr);
-  EXPECT_EQ(cluster.round_trip_latency_us(), 2000);
+  EXPECT_EQ(cluster.network()->link(1).rtt_us, 2000);  // uniform
 
   ASSERT_TRUE(cluster.Put("a", "1").ok());
   QueryMetrics m;
@@ -197,13 +196,6 @@ TEST(ClusterNetworkTest, FlatRttKnobIsADegenerateUniformModel) {
   EXPECT_GE(elapsed, 0.002);  // the read really stalls one round trip
   EXPECT_EQ(m.net_service_ns, 2'000'000u);
   EXPECT_EQ(m.net_transfer_bytes, 2u);  // "a" out, "1" back
-
-  // An explicit NetworkOptions with its own cost wins over the shim.
-  ClusterOptions both{.num_storage_nodes = 2, .backend = BackendKind::kMem};
-  both.network.link.rtt_us = 10;
-  both.round_trip_latency_us = 5000;
-  Cluster cluster2(both);
-  EXPECT_EQ(cluster2.round_trip_latency_us(), 10);
 }
 
 TEST(ClusterNetworkTest, WritesAreMeteredButNeverStalled) {

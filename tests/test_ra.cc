@@ -224,7 +224,7 @@ TEST_F(TaavFixture, BaselineExecutesJoinAggregate) {
       catalog_);
   ASSERT_TRUE(spec.ok());
   QueryMetrics m;
-  auto out = exec.Execute(*spec, /*workers=*/2, &m);
+  auto out = exec.Execute(*spec, TaavExecOptions{.workers = 2}, &m);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->size(), 5u);
   int64_t total = 0;

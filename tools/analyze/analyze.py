@@ -64,10 +64,13 @@ Frontends:
              index + brace-matched function spans) implementing the same
              checks; used automatically when clang.cindex is not
              importable so the checks run on any machine. Its one
-             documented concession: a discarded call is only flagged
-             when the callee NAME unambiguously returns a status-like
-             type across the whole tree (the compiler's [[nodiscard]]
-             remains the authoritative backstop for the ambiguous rest).
+             documented concession: a bare discarded call is only
+             flagged when the callee NAME unambiguously returns a
+             status-like type across the whole tree (the compiler's
+             [[nodiscard]] remains the authoritative backstop for the
+             ambiguous rest); a (void)-cast call — which [[nodiscard]]
+             accepts — is flagged when ANY declaration of the name
+             returns one.
 
 Usage:
   tools/analyze/analyze.py                      analyze the repository
@@ -427,8 +430,11 @@ def check_discarded_status(models, status_index):
                     continue
                 callee = m.group("chain").split(".")[-1]
                 callee = callee.split("->")[-1].split("::")[-1]
+                # A bare call is flagged only when EVERY declaration of
+                # the name returns a status; a (void) cast is flagged when
+                # ANY does — nobody casts a value to void by accident.
                 unambiguous = status_index.get(callee)
-                if not unambiguous:
+                if unambiguous is None or not (unambiguous or m.group("cast")):
                     continue
                 # The statement must BE the call (nothing consuming it
                 # after the closing paren, e.g. `.ok()`).
