@@ -76,11 +76,11 @@ int main() {
     ZIDIAN_CHECK_OK(z.LoadTaav(w->data));
     ZIDIAN_CHECK_OK(z.BuildBaav(w->data));
     AnswerInfo info;
-    auto r = z.Answer(
+    auto r = z.Connect().Execute(
         "SELECT v.vehicle_id, SUM(t.cost), COUNT(*) FROM vehicle v, "
         "mot_test t WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 7 "
         "GROUP BY v.vehicle_id",
-        4, &info);
+        {.workers = 4}, &info);
     if (!r.ok()) return 1;
     std::printf("%-10s %12s %14llu %12llu\n", stats ? "on" : "off",
                 Num(SimSeconds(info.metrics, SoH())).c_str(),
@@ -103,7 +103,7 @@ int main() {
     int bounded = 0;
     for (const auto& q : w->queries) {
       AnswerInfo info;
-      auto r = z.Answer(q.sql, 2, &info);
+      auto r = z.Connect().Execute(q.sql, {.workers = 2}, &info);
       if (r.ok() && info.bounded) ++bounded;
     }
     std::printf("%-12llu %d\n", (unsigned long long)threshold, bounded);

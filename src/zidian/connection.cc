@@ -29,54 +29,55 @@ Status PreparedQuery::Plan() {
       PreservationReport preserve,
       CheckResultPreserving(spec_, zidian_->catalog(),
                             zidian_->store().schema()));
-  preserving_ = preserve.preserving;
-  preserve_detail_ = preserve.detail;
-  last_info_ = AnswerInfo{};
-  last_info_.result_preserving = preserving_;
-  last_info_.cache_enabled = zidian_->cluster().cache_enabled();
-  last_info_.cache_capacity_bytes = zidian_->cluster().cache_capacity_bytes();
-  if (const NetworkModel* net = zidian_->cluster().network()) {
-    last_info_.network_enabled = true;
-    last_info_.network_text = net->ToString();
-    last_info_.fault_text = net->FaultText();
-    last_info_.replication_text = zidian_->cluster().recovery().ToString();
+  // The cluster's configuration is fixed at construction, so Prepare
+  // describes it once for every Execute.
+  const Cluster& cluster = zidian_->cluster();
+  prepared_.result_preserving = preserve.preserving;
+  prepared_.cache_enabled = cluster.cache_enabled();
+  prepared_.cache_capacity_bytes = cluster.cache_capacity_bytes();
+  if (const NetworkModel* net = cluster.network()) {
+    prepared_.network_enabled = true;
+    prepared_.network_text = net->ToString();
+    prepared_.fault_text = net->FaultText();
+    prepared_.replication_text = cluster.recovery().ToString();
   }
-  if (!preserving_) {
-    last_info_.route = AnswerInfo::Route::kTaavFallback;
-    last_info_.detail = preserve_detail_;
-    return Status::OK();
+  if (!preserve.preserving) {
+    prepared_.detail = preserve.detail;  // route stays kTaavFallback
+  } else {
+    // M2: plan generation (scan-free / bounded when the query is).
+    ZIDIAN_ASSIGN_OR_RETURN(
+        PlannedQuery planned,
+        GenerateKbaPlan(spec_, zidian_->catalog(), zidian_->store(),
+                        zidian_->options().planner));
+    prepared_.scan_free = planned.scan_free;
+    prepared_.bounded = planned.bounded;
+    prepared_.stats_pushdown = planned.stats_pushdown;
+    prepared_.plan_text = planned.plan->ToString();
+    prepared_.route = planned.scan_free ? AnswerInfo::Route::kKbaScanFree
+                                        : AnswerInfo::Route::kKbaWithScans;
+    planned_ = std::move(planned);
   }
-
-  // M2: plan generation (scan-free / bounded when the query is).
-  ZIDIAN_ASSIGN_OR_RETURN(
-      PlannedQuery planned,
-      GenerateKbaPlan(spec_, zidian_->catalog(), zidian_->store(),
-                      zidian_->options().planner));
-  plan_text_ = planned.plan->ToString();
-  last_info_.scan_free = planned.scan_free;
-  last_info_.bounded = planned.bounded;
-  last_info_.stats_pushdown = planned.stats_pushdown;
-  last_info_.plan_text = plan_text_;
-  last_info_.route = planned.scan_free ? AnswerInfo::Route::kKbaScanFree
-                                       : AnswerInfo::Route::kKbaWithScans;
-  planned_ = std::move(planned);
+  last_info_ = prepared_;
   return Status::OK();
 }
 
 Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
                                         AnswerInfo* info) {
+  // Every run starts from the prepared route, flags, plan text and cluster
+  // configuration: a run forced down the baseline keeps describing the
+  // prepared plan, so Explain() does too.
   AnswerInfo local;
   AnswerInfo* out = info != nullptr ? info : &local;
-  *out = AnswerInfo{};
-  out->result_preserving = preserving_;
+  *out = prepared_;
   int workers = std::max(1, opts.workers);
+  const bool preserving = planned_.has_value();
 
-  if (opts.route_policy == RoutePolicy::kForceKba && !preserving_) {
+  if (opts.route_policy == RoutePolicy::kForceKba && !preserving) {
     return Status::InvalidArgument("query is not result preserving: " +
-                                   preserve_detail_);
+                                   prepared_.detail);
   }
   bool use_baseline =
-      opts.route_policy == RoutePolicy::kForceBaseline || !preserving_;
+      opts.route_policy == RoutePolicy::kForceBaseline || !preserving;
 
   // Scope the cache bypass to this execution; the previous cluster state
   // is restored on every exit path. The flag is only touched when this
@@ -95,15 +96,7 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
   } bypass_scope{&cluster, cluster.cache_bypassed(),
                  opts.bypass_cache != cluster.cache_bypassed()};
   if (bypass_scope.changed) cluster.SetCacheBypass(opts.bypass_cache);
-  out->cache_enabled = cluster.cache_enabled();
-  out->cache_capacity_bytes = cluster.cache_capacity_bytes();
   out->cache_bypassed = opts.bypass_cache;
-  if (const NetworkModel* net = cluster.network()) {
-    out->network_enabled = true;
-    out->network_text = net->ToString();
-    out->fault_text = net->FaultText();
-    out->replication_text = cluster.recovery().ToString();
-  }
 
   // Resolve the thread source once for whichever route runs. kThreads at
   // workers <= 1 is the simulated path by construction (one worker on the
@@ -112,36 +105,19 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
       opts.parallel_mode == ParallelMode::kThreads && workers > 1;
   out->parallel_mode =
       threaded ? ParallelMode::kThreads : ParallelMode::kSimulated;
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> per_call_pool;
-  if (threaded) {
-    if (opts.pool != nullptr) {
-      pool = opts.pool;
-    } else if (pool_state_ != nullptr) {
-      pool = pool_state_->GetOrCreate(workers - 1);
-      out->used_shared_pool = true;
-    } else {
-      per_call_pool = std::make_unique<ThreadPool>(workers - 1);
-      pool = per_call_pool.get();
-    }
-  }
-
-  // The prepared plan's shape survives in the info even when this run is
-  // forced down the baseline, so Explain() keeps describing the plan.
-  if (preserving_) {
-    out->scan_free = planned_->scan_free;
-    out->bounded = planned_->bounded;
-    out->stats_pushdown = planned_->stats_pushdown;
-    out->plan_text = plan_text_;
+  ThreadPool* pool = threaded ? opts.pool : nullptr;
+  if (threaded && pool == nullptr) {
+    pool = pool_state_->GetOrCreate(workers - 1);
+    out->used_shared_pool = true;
   }
 
   Result<Relation> result = Relation();
   auto start = std::chrono::steady_clock::now();
   if (use_baseline) {
     out->route = AnswerInfo::Route::kTaavFallback;
-    out->detail = preserving_ ? "route policy forced the TaaV baseline"
-                              : preserve_detail_;
-    result = zidian_->AnswerBaseline(
+    if (preserving) out->detail = "route policy forced the TaaV baseline";
+    TaavExecutor executor(&zidian_->catalog(), &cluster);
+    result = executor.Execute(
         spec_,
         TaavExecOptions{.workers = workers,
                         .parallel_mode = out->parallel_mode,
@@ -149,8 +125,6 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
                         .fanout = opts.fanout},
         &out->metrics);
   } else {
-    out->route = planned_->scan_free ? AnswerInfo::Route::kKbaScanFree
-                                     : AnswerInfo::Route::kKbaWithScans;
     result = ExecuteKba(workers, out->parallel_mode, pool, opts.fanout, out);
   }
   out->metrics.wall_seconds =

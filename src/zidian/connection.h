@@ -33,12 +33,11 @@
 // per-phase wall timings) with measured time, so SimSeconds predictions
 // can be validated against the clock.
 //
-// Threads come from one of three places, in priority order: an
-// ExecOptions::pool the caller owns, the Connection's lazily created
-// shared pool (the default — repeated Execute()s and every PreparedQuery
-// prepared on the same Connection reuse one set of threads, so high-QPS
-// serving does not pay thread startup per query), or a per-call pool as
-// the last resort. AnswerInfo reports the *effective* parallel_mode
+// Threads come from one of two places: an ExecOptions::pool the caller
+// owns, or else the Connection's lazily created shared pool (repeated
+// Execute()s and every PreparedQuery prepared on the same Connection
+// reuse one set of threads, so high-QPS serving does not pay thread
+// startup per query). AnswerInfo reports the *effective* parallel_mode
 // (kThreads requested with workers <= 1 executes — and reports —
 // kSimulated) and whether the shared pool served the run
 // (used_shared_pool).
@@ -53,9 +52,6 @@
 // ExecOptions::bypass_cache remains a single-session experiment knob —
 // it toggles a cluster-global flag that would leak into concurrently
 // running queries.
-//
-// The old one-shot calls (Zidian::Answer / AnswerSpec / AnswerBaseline)
-// remain as thin shims over this API.
 #ifndef ZIDIAN_ZIDIAN_CONNECTION_H_
 #define ZIDIAN_ZIDIAN_CONNECTION_H_
 
@@ -152,7 +148,7 @@ class PreparedQuery {
 
   const QuerySpec& spec() const { return spec_; }
   /// Whether the KBA route is available (Condition II verdict).
-  bool result_preserving() const { return preserving_; }
+  bool result_preserving() const { return planned_.has_value(); }
 
  private:
   friend class Connection;
@@ -168,10 +164,10 @@ class PreparedQuery {
 
   Zidian* zidian_;
   QuerySpec spec_;
-  bool preserving_ = false;
-  std::string preserve_detail_;
   std::optional<PlannedQuery> planned_;  // engaged iff preserving
-  std::string plan_text_;                // rendered once at Prepare time
+  /// Route, flags, plan text and cluster configuration as Prepare saw
+  /// them; every Execute starts from a copy.
+  AnswerInfo prepared_;
   /// The owning Connection's shared pool, kept alive past the Connection
   /// itself so a PreparedQuery outliving its session stays safe.
   std::shared_ptr<SharedPoolState> pool_state_;
@@ -193,14 +189,6 @@ class Connection {
   Result<Relation> Execute(const std::string& sql,
                            const ExecOptions& opts = {},
                            AnswerInfo* info = nullptr);
-
-  Zidian& zidian() { return *zidian_; }
-
-  /// The session-shared thread pool state (lazily populated on the first
-  /// effective-kThreads Execute). Exposed for diagnostics/tests.
-  const std::shared_ptr<SharedPoolState>& pool_state() const {
-    return pool_state_;
-  }
 
  private:
   friend class Zidian;

@@ -8,15 +8,14 @@
 //     Connect()             open a Connection; Prepare(sql) runs the M1
 //                           routing decision and M2 plan generation once,
 //                           Execute(...) runs M3 any number of times (see
-//                           zidian/connection.h for the session API)
-//     Answer(sql, p)        one-shot shim over Connect().Prepare().Execute():
-//                           module M1 decides whether the query can be
+//                           zidian/connection.h for the session API).
+//                           Module M1 decides whether the query can be
 //                           answered on the BaaV store (Condition II); if so
 //                           M2 generates a (scan-free / bounded when
 //                           possible) KBA plan and M3 executes it with the
 //                           interleaved parallel strategy; otherwise the
-//                           query falls back to the TaaV baseline.
-//     AnswerBaseline(...)   the SQL-over-NoSQL baseline path, for
+//                           query falls back to the TaaV baseline, which
+//                           RoutePolicy::kForceBaseline also selects for
 //                           experiments ("without Zidian").
 #ifndef ZIDIAN_ZIDIAN_ZIDIAN_H_
 #define ZIDIAN_ZIDIAN_ZIDIAN_H_
@@ -86,18 +85,13 @@ struct AnswerInfo {
   ParallelMode parallel_mode = ParallelMode::kSimulated;
   /// Whether this run's threads came from the Connection-shared pool
   /// (amortized across executions) rather than an ExecOptions::pool
-  /// override or a per-call pool. Always false under kSimulated.
+  /// override. Always false under kSimulated.
   bool used_shared_pool = false;
   QueryMetrics metrics;
   std::string plan_text;
   std::string detail;
   /// Filled when ExecOptions::backend_profile was given to Execute().
   double sim_seconds = 0;
-
-  /// Simulated wall-clock under a backend profile (Table 2/3 "time").
-  double SimSecondsFor(const BackendProfile& profile) const {
-    return SimSeconds(metrics, profile);
-  }
 };
 
 class Zidian {
@@ -124,32 +118,11 @@ class Zidian {
   Status Insert(const std::string& relation, const Tuple& tuple);
   Status Delete(const std::string& relation, const Tuple& tuple);
 
-  /// One-shot pipeline, a shim over Connect(): parse, bind, route, execute
-  /// with `workers` nodes. Prefer Connection/PreparedQuery when the same
-  /// query runs more than once.
-  Result<Relation> Answer(const std::string& sql, int workers,
-                          AnswerInfo* info);
-  Result<Relation> AnswerSpec(const QuerySpec& spec, int workers,
-                              AnswerInfo* info);
-
-  /// The SQL-over-NoSQL baseline (no Zidian), for comparison runs.
-  Result<Relation> AnswerBaseline(const QuerySpec& spec, int workers,
-                                  QueryMetrics* m) const;
-  Result<Relation> AnswerBaseline(const std::string& sql, int workers,
-                                  QueryMetrics* m) const;
-  /// Baseline with full execution options (parallel mode, shared pool) —
-  /// the entry PreparedQuery::Execute uses so the TaaV control arm runs
-  /// on the same substrate as the KBA treatment.
-  Result<Relation> AnswerBaseline(const QuerySpec& spec,
-                                  const TaavExecOptions& opts,
-                                  QueryMetrics* m) const;
-
  private:
   const Catalog* catalog_;
   Cluster* cluster_;
   BaavStore store_;
   ZidianOptions options_;
-  TaavExecutor baseline_;
 };
 
 }  // namespace zidian

@@ -20,6 +20,7 @@
 #include "common/thread_pool.h"
 #include "kba/kba_executor.h"
 #include "kba/kba_plan.h"
+#include "parity.h"
 #include "storage/backend.h"
 #include "storage/cluster.h"
 #include "storage/network_model.h"
@@ -106,8 +107,7 @@ TEST(FanoutMultiGetTest, OverlappedMatchesSerialByteForByte) {
 
   ExpectSameOutcome(r.serial, r.overlapped, keys.size());
   // Identical logical work: CountersEqual cannot tell the fan-outs apart.
-  EXPECT_TRUE(CountersEqual(r.ms, r.mo))
-      << "serial: " << r.ms.ToString() << "\noverlapped: " << r.mo.ToString();
+  EXPECT_TRUE(SameCounters(r.ms, r.mo));
   // The schedule shape is where they differ: with 4 healthy nodes in
   // flight together, all but the slowest batch's latency is hidden.
   EXPECT_GT(r.fs.overlap_ns, 0u);
@@ -124,8 +124,7 @@ TEST(FanoutMultiGetTest, NoNetworkModelHasNothingToOverlap) {
 
   FanoutPair r = RunBothFanouts(cluster, keys, CacheFill::kNoFill);
   ExpectSameOutcome(r.serial, r.overlapped, keys.size());
-  EXPECT_TRUE(CountersEqual(r.ms, r.mo))
-      << "serial: " << r.ms.ToString() << "\noverlapped: " << r.mo.ToString();
+  EXPECT_TRUE(SameCounters(r.ms, r.mo));
   EXPECT_EQ(r.fs.overlap_ns, 0u);
 }
 
@@ -143,8 +142,7 @@ TEST(FanoutMultiGetTest, FullyCachedBatchIssuesNoBatches) {
 
   FanoutPair r = RunBothFanouts(cluster, keys, CacheFill::kFill);
   ExpectSameOutcome(r.serial, r.overlapped, keys.size());
-  EXPECT_TRUE(CountersEqual(r.ms, r.mo))
-      << "serial: " << r.ms.ToString() << "\noverlapped: " << r.mo.ToString();
+  EXPECT_TRUE(SameCounters(r.ms, r.mo));
   EXPECT_EQ(r.mo.cache_hits, keys.size());
   EXPECT_EQ(r.mo.get_round_trips, 0u);
   EXPECT_EQ(r.fs.overlap_ns, 0u);
@@ -209,9 +207,7 @@ class AsyncParityFixture : public ::testing::TestWithParam<BackendKind> {
           &over_sim);
       ASSERT_TRUE(os.ok()) << os.status().ToString();
       ASSERT_EQ(os->ToString(1u << 20), reference_rows);
-      ASSERT_TRUE(CountersEqual(over_sim.metrics, serial.metrics))
-          << "serial: " << serial.metrics.ToString()
-          << "\noverlapped: " << over_sim.metrics.ToString();
+      ASSERT_TRUE(SameCounters(over_sim.metrics, serial.metrics));
       overlap_seen = std::max(overlap_seen, over_sim.metrics.net_overlap_ns);
 
       for (int run = 0; run < repeats; ++run) {
@@ -229,9 +225,7 @@ class AsyncParityFixture : public ::testing::TestWithParam<BackendKind> {
             &thr);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         ASSERT_EQ(r->ToString(1u << 20), reference_rows) << "run " << run;
-        ASSERT_TRUE(CountersEqual(thr.metrics, serial.metrics))
-            << "run " << run << "\n  serial: " << serial.metrics.ToString()
-            << "\n  threaded: " << thr.metrics.ToString();
+        ASSERT_TRUE(SameCounters(thr.metrics, serial.metrics)) << "run " << run;
         // Schedule shape is deterministic too: a fixed partition yields
         // the same overlap in kThreads as in kSimulated, run after run.
         if (overlapped) {
@@ -316,9 +310,7 @@ TEST_P(AsyncParityFixture, ExtendHeavyPlanSyncVsAsyncSweep) {
                              &over_sim);
       ASSERT_TRUE(os.ok()) << os.status().ToString();
       ASSERT_EQ(os->rel.rows(), ref->rel.rows());
-      ASSERT_TRUE(CountersEqual(over_sim, serial))
-          << "serial: " << serial.ToString()
-          << "\noverlapped: " << over_sim.ToString();
+      ASSERT_TRUE(SameCounters(over_sim, serial));
       overlap_seen = std::max(overlap_seen, over_sim.net_overlap_ns);
       inflight_seen = std::max(inflight_seen, over_sim.net_inflight_max);
 
@@ -334,9 +326,7 @@ TEST_P(AsyncParityFixture, ExtendHeavyPlanSyncVsAsyncSweep) {
             &thr);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         ASSERT_EQ(r->rel.rows(), ref->rel.rows()) << "run " << run;
-        ASSERT_TRUE(CountersEqual(thr, serial))
-            << "run " << run << "\n  serial: " << serial.ToString()
-            << "\n  threaded: " << thr.ToString();
+        ASSERT_TRUE(SameCounters(thr, serial)) << "run " << run;
         if (overlapped) {
           ASSERT_EQ(thr.net_overlap_ns, over_sim.net_overlap_ns)
               << "run " << run;
@@ -386,10 +376,8 @@ TEST_P(AsyncParityFixture, EveryQueryShapeAgreesAcrossFanoutModes) {
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         EXPECT_EQ(r->ToString(1u << 20), ref->ToString(1u << 20))
             << "workers=" << workers;
-        EXPECT_TRUE(CountersEqual(over.metrics, serial.metrics))
-            << "workers=" << workers
-            << "\n  serial: " << serial.metrics.ToString()
-            << "\n  overlapped: " << over.metrics.ToString();
+        EXPECT_TRUE(SameCounters(over.metrics, serial.metrics))
+            << "workers=" << workers;
       }
     }
   }

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "kba/kba_executor.h"
 #include "kba/kba_plan.h"
+#include "parity.h"
 #include "ra/eval.h"
 #include "storage/cluster.h"
 
@@ -255,12 +256,8 @@ TEST_F(BaavStoreFixture, DecodeErrorsFailAlikeUnderEveryFanoutMode) {
           << stats.status().ToString();
       ++i;
     }
-    EXPECT_TRUE(CountersEqual(blocks_m[0], blocks_m[1]))
-        << "serial: " << blocks_m[0].ToString()
-        << "\noverlapped: " << blocks_m[1].ToString();
-    EXPECT_TRUE(CountersEqual(stats_m[0], stats_m[1]))
-        << "serial: " << stats_m[0].ToString()
-        << "\noverlapped: " << stats_m[1].ToString();
+    EXPECT_TRUE(SameCounters(blocks_m[0], blocks_m[1]));
+    EXPECT_TRUE(SameCounters(stats_m[0], stats_m[1]));
   };
 
   const std::string seg0 = segment_key(2, 0);

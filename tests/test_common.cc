@@ -1,6 +1,6 @@
 // Unit + property tests for the common runtime: Status/Result, varints,
-// order-preserving codecs, hashing, RNG distributions, and the
-// ThreadPool's exception contract.
+// order-preserving codecs, hashing, RNG distributions, the ThreadPool's
+// exception contract, and the QueryMetrics field table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -310,7 +310,80 @@ TEST(Metrics, AccumulatesAndFormats) {
   a += b;
   EXPECT_EQ(a.get_calls, 5u);
   EXPECT_EQ(a.CommBytes(), 150u);
-  EXPECT_NE(a.ToString().find("gets=5"), std::string::npos);
+  EXPECT_NE(a.ToString().find("get_calls=5"), std::string::npos);
+}
+
+// The tests below expand ZIDIAN_QUERY_METRICS_FIELDS, so a new row of the
+// table is covered without touching this file.
+
+void MakeNonZero(uint64_t* v) { *v = 7; }
+void MakeNonZero(double* v) { *v = 0.5; }
+void MakeNonZero(std::vector<uint64_t>* v) { *v = {0, 7}; }
+
+TEST(Metrics, CountersEqualComparesExactlyTheComparedRows) {
+#define ZIDIAN_TEST_ROW(name, kind, parity)                        \
+  {                                                                \
+    QueryMetrics zero, bumped;                                     \
+    MakeNonZero(&bumped.name);                                     \
+    bool exempt = MetricParity::parity != MetricParity::kCompared; \
+    EXPECT_EQ(CountersEqual(zero, bumped), exempt) << #name;       \
+    EXPECT_EQ(CountersEqual(bumped, zero), exempt) << #name;       \
+  }
+  ZIDIAN_QUERY_METRICS_FIELDS(ZIDIAN_TEST_ROW)
+#undef ZIDIAN_TEST_ROW
+  QueryMetrics a, b;  // per-node vectors compare zero-padded
+  a.net_node_round_trips = {2, 0};
+  b.net_node_round_trips = {2};
+  EXPECT_TRUE(CountersEqual(a, b));
+}
+
+template <typename T>
+T Merged(T QueryMetrics::*f, T a, T b) {
+  QueryMetrics x, y;
+  x.*f = a;
+  y.*f = b;
+  x += y;
+  return x.*f;
+}
+
+void ExpectMerge(metric_kind::Sum, uint64_t QueryMetrics::*f) {
+  EXPECT_EQ(Merged<uint64_t>(f, 3, 5), 8u);
+}
+void ExpectMerge(metric_kind::Peak, uint64_t QueryMetrics::*f) {
+  EXPECT_EQ(Merged<uint64_t>(f, 3, 5), 5u);
+  EXPECT_EQ(Merged<uint64_t>(f, 5, 3), 5u);
+}
+void ExpectMerge(metric_kind::PerNode, std::vector<uint64_t> QueryMetrics::*f) {
+  using V = std::vector<uint64_t>;
+  EXPECT_EQ(Merged<V>(f, {1}, {0, 0, 3}), (V{1, 0, 3}));
+  EXPECT_EQ(Merged<V>(f, {1, 2, 3}, {1}), (V{2, 2, 3}));
+}
+void ExpectMerge(metric_kind::Real, double QueryMetrics::*f) {
+  EXPECT_EQ(Merged<double>(f, 0.25, 0.5), 0.75);
+}
+
+TEST(Metrics, MergeFollowsEachRowsKind) {
+#define ZIDIAN_TEST_ROW(name, kind, parity)                \
+  {                                                        \
+    SCOPED_TRACE(#name);                                   \
+    ExpectMerge(metric_kind::kind{}, &QueryMetrics::name); \
+  }
+  ZIDIAN_QUERY_METRICS_FIELDS(ZIDIAN_TEST_ROW)
+#undef ZIDIAN_TEST_ROW
+}
+
+TEST(Metrics, ToStringNamesEveryNonZeroField) {
+  EXPECT_EQ(QueryMetrics{}.ToString(), "comm=0");
+#define ZIDIAN_TEST_ROW(name, kind, parity)                 \
+  {                                                         \
+    QueryMetrics m;                                         \
+    MakeNonZero(&m.name);                                   \
+    std::string s = m.ToString();                           \
+    EXPECT_EQ(s.rfind(#name "=", 0), 0u) << s;              \
+    EXPECT_EQ(std::count(s.begin(), s.end(), '='), 2) << s; \
+  }
+  ZIDIAN_QUERY_METRICS_FIELDS(ZIDIAN_TEST_ROW)
+#undef ZIDIAN_TEST_ROW
 }
 
 }  // namespace

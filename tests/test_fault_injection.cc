@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "parity.h"
 #include "storage/backend.h"
 #include "storage/cluster.h"
 #include "storage/network_model.h"
@@ -142,8 +143,7 @@ TEST(FaultScheduleTest, RepeatedRunsMeterIdentically) {
   net.FetchWithRecovery({0, 1, 2}, batch, rec, &a, &ok_a);
   net.FetchWithRecovery({0, 1, 2}, batch, rec, &b, &ok_b);
   EXPECT_EQ(ok_a, ok_b);
-  EXPECT_TRUE(CountersEqual(a, b))
-      << "a: " << a.ToString() << "\nb: " << b.ToString();
+  EXPECT_TRUE(SameCounters(a, b));
 }
 
 // ------------------------------------------- cluster: recovery behavior ---
@@ -310,8 +310,7 @@ TEST(ClusterRecoveryTest, HedgedReadsWinDeterministically) {
   QueryMetrics m2;
   MultiGetResult r2 = replay.MultiGet(keys, &m2);
   ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(CountersEqual(m1, m2))
-      << "m1: " << m1.ToString() << "\nm2: " << m2.ToString();
+  EXPECT_TRUE(SameCounters(m1, m2));
 }
 
 // ---------------------- cluster: recovery through the overlapped fan-out ---
@@ -363,8 +362,7 @@ TEST(ClusterRecoveryAsyncTest, ReplicaRescueMatchesSyncThroughAsyncFanout) {
   EXPECT_EQ(ma.net_faults_injected, on_node0);
   EXPECT_EQ(ma.net_retries, on_node0);
   EXPECT_EQ(FaultCounters(ma), FaultCounters(ms));
-  EXPECT_TRUE(CountersEqual(ms, ma))
-      << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
+  EXPECT_TRUE(SameCounters(ms, ma));
   // All four nodes' recovery machines genuinely raced in flight.
   EXPECT_EQ(fs.inflight_max, 4u);
   EXPECT_GT(fs.overlap_ns, 0u);
@@ -406,8 +404,7 @@ TEST(ClusterRecoveryAsyncTest, CleanExhaustionMatchesSyncThroughAsyncFanout) {
   }
   EXPECT_FALSE(async_res.Failed(keys.size() - 1));  // absent, not failed
   EXPECT_EQ(FaultCounters(ma), FaultCounters(ms));
-  EXPECT_TRUE(CountersEqual(ms, ma))
-      << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
+  EXPECT_TRUE(SameCounters(ms, ma));
 }
 
 TEST(ClusterRecoveryAsyncTest, HedgeDeterminismHoldsThroughAsyncFanout) {
@@ -449,13 +446,11 @@ TEST(ClusterRecoveryAsyncTest, HedgeDeterminismHoldsThroughAsyncFanout) {
     EXPECT_EQ(ma.net_hedge_wins, on_node0) << "run " << run;
     EXPECT_EQ(ma.net_faults_injected, 0u) << "run " << run;
     EXPECT_EQ(FaultCounters(ma), FaultCounters(ms)) << "run " << run;
-    EXPECT_TRUE(CountersEqual(ms, ma))
-        << "run " << run << "\nsync: " << ms.ToString()
-        << "\nasync: " << ma.ToString();
+    EXPECT_TRUE(SameCounters(ms, ma)) << "run " << run;
     if (run == 0) {
       first_run = ma;
     } else {
-      EXPECT_TRUE(CountersEqual(first_run, ma)) << "run " << run;
+      EXPECT_TRUE(SameCounters(first_run, ma)) << "run " << run;
     }
   }
 }
@@ -548,10 +543,8 @@ class FaultParityFixture : public ::testing::TestWithParam<BackendKind> {
         ASSERT_TRUE(o.ok()) << o.status().ToString();
         ASSERT_EQ(o->ToString(1u << 20), reference_rows)
             << "workers " << workers;
-        ASSERT_TRUE(CountersEqual(osim.metrics, sim.metrics))
-            << "workers " << workers
-            << "\n  sim: " << sim.metrics.ToString()
-            << "\n  overlapped: " << osim.metrics.ToString();
+        ASSERT_TRUE(SameCounters(osim.metrics, sim.metrics))
+            << "workers " << workers;
         for (int run = 0; run < 2; ++run) {
           AnswerInfo thr;
           auto r = prepared->Execute(
@@ -562,10 +555,8 @@ class FaultParityFixture : public ::testing::TestWithParam<BackendKind> {
           ASSERT_TRUE(r.ok()) << r.status().ToString();
           ASSERT_EQ(r->ToString(1u << 20), reference_rows)
               << "workers " << workers << " run " << run;
-          ASSERT_TRUE(CountersEqual(thr.metrics, sim.metrics))
-              << "workers " << workers << " run " << run
-              << "\n  sim: " << sim.metrics.ToString()
-              << "\n  thr: " << thr.metrics.ToString();
+          ASSERT_TRUE(SameCounters(thr.metrics, sim.metrics))
+              << "workers " << workers << " run " << run;
         }
       }
     }

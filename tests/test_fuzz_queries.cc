@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "parity.h"
 #include "workloads/workload.h"
 #include "zidian/connection.h"
 #include "zidian/zidian.h"
@@ -129,30 +130,8 @@ TEST_P(FuzzQueries, ZidianAgreesWithBaselineOnRandomQueries) {
   for (int i = 0; i < 40; ++i) {
     std::string sql = RandomQuery(&rng, n_vehicles);
     AnswerInfo info;
-    auto zr = z.Answer(sql, /*workers=*/2, &info);
-    ASSERT_TRUE(zr.ok()) << sql << "\n" << zr.status().ToString();
-    auto br = z.AnswerBaseline(sql, 2, nullptr);
-    ASSERT_TRUE(br.ok()) << sql;
+    ASSERT_NO_FATAL_FAILURE(ExpectRoutesAgree(z, sql, /*workers=*/2, &info));
     scan_free_seen += info.scan_free ? 1 : 0;
-
-    Relation a = *zr, b = *br;
-    a.SortRows();
-    b.SortRows();
-    ASSERT_EQ(a.size(), b.size()) << sql;
-    for (size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(a.rows()[r].size(), b.rows()[r].size()) << sql;
-      for (size_t c = 0; c < a.rows()[r].size(); ++c) {
-        const Value& va = a.rows()[r][c];
-        const Value& vb = b.rows()[r][c];
-        if (va.IsNumeric() && vb.IsNumeric()) {
-          double denom = std::max(1.0, std::abs(vb.Numeric()));
-          ASSERT_NEAR(va.Numeric() / denom, vb.Numeric() / denom, 1e-9)
-              << sql << " row " << r << " col " << c;
-        } else {
-          ASSERT_EQ(va, vb) << sql << " row " << r << " col " << c;
-        }
-      }
-    }
   }
   // The generator must actually exercise both routes.
   EXPECT_GT(scan_free_seen, 0);

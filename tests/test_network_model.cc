@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "kba/makespan.h"
+#include "parity.h"
 #include "storage/backend.h"
 #include "storage/cluster.h"
 #include "storage/network_model.h"
@@ -95,7 +96,7 @@ TEST(NetworkModelTest, OnGetMetersHistogramTransferAndServiceTime) {
   EXPECT_EQ(total.net_node_round_trips[0], 1u);
   QueryMetrics same = total;
   same.net_node_round_trips.resize(8, 0);
-  EXPECT_TRUE(CountersEqual(total, same));
+  EXPECT_TRUE(SameCounters(total, same));
 }
 
 TEST(NetworkModelTest, QueueDelaySerializesConcurrentRequestsAtOneNode) {
@@ -275,9 +276,7 @@ class NetworkParityFixture : public ::testing::TestWithParam<BackendKind> {
           &thr);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       ASSERT_EQ(r->ToString(1u << 20), reference) << "run " << run;
-      ASSERT_TRUE(CountersEqual(thr.metrics, sim.metrics))
-          << "run " << run << "\n  sim: " << sim.metrics.ToString()
-          << "\n  thr: " << thr.metrics.ToString();
+      ASSERT_TRUE(SameCounters(thr.metrics, sim.metrics)) << "run " << run;
     }
   }
 

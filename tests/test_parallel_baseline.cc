@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "parity.h"
 #include "ra/eval.h"
 #include "storage/backend.h"
 #include "storage/cluster.h"
@@ -77,9 +78,7 @@ TEST_P(BaselineParityFixture, RepeatedThreadedBaselineRunsMatchSimulated) {
         &thr);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->ToString(1u << 20), reference_text) << "run " << run;
-    ASSERT_TRUE(CountersEqual(thr.metrics, sim.metrics))
-        << "run " << run << "\n  sim: " << sim.metrics.ToString()
-        << "\n  thr: " << thr.metrics.ToString();
+    ASSERT_TRUE(SameCounters(thr.metrics, sim.metrics)) << "run " << run;
     EXPECT_EQ(thr.parallel_mode, ParallelMode::kThreads);
     EXPECT_TRUE(thr.used_shared_pool);
     EXPECT_GT(thr.metrics.wall_seconds, 0.0);
@@ -104,10 +103,8 @@ TEST_P(BaselineParityFixture, BaselineParityAcrossQueriesAndWorkerCounts) {
       ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
       EXPECT_EQ(r->ToString(1u << 20), reference.ToString(1u << 20))
           << q.name << " workers=" << workers;
-      EXPECT_TRUE(CountersEqual(thr.metrics, sim.metrics))
-          << q.name << " workers=" << workers
-          << "\n  sim: " << sim.metrics.ToString()
-          << "\n  thr: " << thr.metrics.ToString();
+      EXPECT_TRUE(SameCounters(thr.metrics, sim.metrics))
+          << q.name << " workers=" << workers;
       // workers = 1 on one thread IS the simulated path; Explain must say
       // so instead of advertising threads that never existed.
       EXPECT_EQ(thr.parallel_mode, workers > 1 ? ParallelMode::kThreads
@@ -166,10 +163,8 @@ TEST(ParallelGroupAggregate, ThreadedRunsMatchSequentialAtEveryWorkerCount) {
       ASSERT_TRUE(thr.ok()) << thr.status().ToString();
       ASSERT_EQ(thr->ToString(1u << 20), seq_text)
           << "workers=" << workers << " run=" << run;
-      ASSERT_TRUE(CountersEqual(thr_m, seq_m))
-          << "workers=" << workers << " run=" << run
-          << "\n  seq: " << seq_m.ToString()
-          << "\n  thr: " << thr_m.ToString();
+      ASSERT_TRUE(SameCounters(thr_m, seq_m))
+          << "workers=" << workers << " run=" << run;
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "parity.h"
 #include "storage/backend.h"
 #include "storage/block_cache.h"
 #include "storage/cluster.h"
@@ -113,9 +114,7 @@ TEST_P(ParallelParityFixture, HundredThreadedRunsMatchSimulatedExactly) {
     // Byte-identical rows in identical order, identical counters — on
     // every one of the 100 runs, whatever the scheduler did.
     ASSERT_EQ(r->ToString(1u << 20), reference_text) << "run " << run;
-    ASSERT_TRUE(CountersEqual(thr.metrics, sim.metrics))
-        << "run " << run << "\n  sim: " << sim.metrics.ToString()
-        << "\n  thr: " << thr.metrics.ToString();
+    ASSERT_TRUE(SameCounters(thr.metrics, sim.metrics)) << "run " << run;
     EXPECT_EQ(thr.parallel_mode, ParallelMode::kThreads);
     EXPECT_GT(thr.metrics.wall_seconds, 0.0);
   }
@@ -140,10 +139,8 @@ TEST_P(ParallelParityFixture, ParityHoldsAcrossQueryShapes) {
       ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
       EXPECT_EQ(r->ToString(1u << 20), reference.ToString(1u << 20))
           << q.name << " workers=" << workers;
-      EXPECT_TRUE(CountersEqual(thr.metrics, sim.metrics))
-          << q.name << " workers=" << workers
-          << "\n  sim: " << sim.metrics.ToString()
-          << "\n  thr: " << thr.metrics.ToString();
+      EXPECT_TRUE(SameCounters(thr.metrics, sim.metrics))
+          << q.name << " workers=" << workers;
     }
   }
 }

@@ -4,10 +4,12 @@
 // for result equality against the TaaV baseline.
 #include <gtest/gtest.h>
 
+#include "parity.h"
 #include "ra/taav.h"
 #include "sql/binder.h"
 #include "storage/cluster.h"
 #include "workloads/workload.h"
+#include "zidian/connection.h"
 #include "zidian/planner.h"
 #include "zidian/preservation.h"
 #include "zidian/zidian.h"
@@ -159,7 +161,7 @@ TEST_F(Example1Fixture, Q1IsScanFree) {
 
 TEST_F(Example1Fixture, Q1PlanHasNoScans) {
   AnswerInfo info;
-  auto result = zidian_->Answer(kQ1, /*workers=*/2, &info);
+  auto result = zidian_->Connect().Execute(kQ1, {.workers = 2}, &info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(info.result_preserving);
   EXPECT_TRUE(info.scan_free);
@@ -170,31 +172,11 @@ TEST_F(Example1Fixture, Q1PlanHasNoScans) {
 }
 
 TEST_F(Example1Fixture, Q1MatchesBaseline) {
-  AnswerInfo info;
-  auto with_zidian = zidian_->Answer(kQ1, 2, &info);
-  ASSERT_TRUE(with_zidian.ok()) << with_zidian.status().ToString();
-  QueryMetrics base_m;
-  auto baseline = zidian_->AnswerBaseline(kQ1, 2, &base_m);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  Relation a = *with_zidian;
-  Relation b = *baseline;
-  a.SortRows();
-  b.SortRows();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.rows()[i].size(), b.rows()[i].size());
-    for (size_t j = 0; j < a.rows()[i].size(); ++j) {
-      if (a.rows()[i][j].IsNumeric()) {
-        EXPECT_NEAR(a.rows()[i][j].Numeric(), b.rows()[i][j].Numeric(), 1e-6);
-      } else {
-        EXPECT_EQ(a.rows()[i][j], b.rows()[i][j]);
-      }
-    }
-  }
+  AnswerInfo info, base;
+  ExpectRoutesAgree(*zidian_, kQ1, /*workers=*/2, &info, &base);
   // Zidian must access strictly less data than the blind-scanning baseline.
-  EXPECT_LT(info.metrics.values_accessed, base_m.values_accessed);
-  EXPECT_LT(info.metrics.CommBytes(), base_m.CommBytes());
+  EXPECT_LT(info.metrics.values_accessed, base.metrics.values_accessed);
+  EXPECT_LT(info.metrics.CommBytes(), base.metrics.CommBytes());
 }
 
 TEST_F(Example1Fixture, IncrementalMaintenanceKeepsAnswersFresh) {
@@ -206,15 +188,8 @@ TEST_F(Example1Fixture, IncrementalMaintenanceKeepsAnswersFresh) {
                   ->Insert("partsupp", {Value(int64_t{500}), Value(int64_t{99}),
                                         Value(123.5), Value(int64_t{42})})
                   .ok());
-  AnswerInfo info;
-  auto with_zidian = zidian_->Answer(kQ1, 1, &info);
-  ASSERT_TRUE(with_zidian.ok()) << with_zidian.status().ToString();
-  auto baseline = zidian_->AnswerBaseline(kQ1, 1, nullptr);
-  ASSERT_TRUE(baseline.ok());
-  Relation a = *with_zidian, b = *baseline;
-  a.SortRows();
-  b.SortRows();
-  ASSERT_EQ(a.size(), b.size());
+  Relation a;
+  ExpectRoutesAgree(*zidian_, kQ1, /*workers=*/1, nullptr, nullptr, &a);
   bool found99 = false;
   for (const auto& row : a.rows()) found99 |= (row[0] == Value(int64_t{99}));
   EXPECT_TRUE(found99);

@@ -11,8 +11,10 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "parity.h"
 #include "sql/binder.h"
 #include "workloads/workload.h"
+#include "zidian/connection.h"
 #include "zidian/zidian.h"
 
 namespace zidian {
@@ -106,28 +108,7 @@ TEST_P(PerQueryDifferential, ZidianEqualsBaseline) {
   const WorkloadQuery& q = env->workload.queries[GetParam().index];
 
   AnswerInfo info;
-  auto zr = env->zidian->Answer(q.sql, /*workers=*/3, &info);
-  ASSERT_TRUE(zr.ok()) << q.name << ": " << zr.status().ToString();
-  auto br = env->zidian->AnswerBaseline(q.sql, 3, nullptr);
-  ASSERT_TRUE(br.ok()) << q.name;
-
-  Relation a = *zr, b = *br;
-  a.SortRows();
-  b.SortRows();
-  ASSERT_EQ(a.size(), b.size()) << q.name;
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < a.rows()[i].size(); ++j) {
-      const Value& va = a.rows()[i][j];
-      const Value& vb = b.rows()[i][j];
-      if (va.IsNumeric() && vb.IsNumeric()) {
-        double denom = std::max(1.0, std::abs(vb.Numeric()));
-        ASSERT_NEAR(va.Numeric() / denom, vb.Numeric() / denom, 1e-9)
-            << q.name << " row " << i;
-      } else {
-        ASSERT_EQ(va, vb) << q.name << " row " << i;
-      }
-    }
-  }
+  ExpectRoutesAgree(*env->zidian, q.sql, /*workers=*/3, &info);
   EXPECT_EQ(info.scan_free, q.expect_scan_free) << q.name;
 }
 
@@ -200,24 +181,11 @@ TEST_P(UpdateSequenceProperty, IncrementalMaintenanceEqualsRebuild) {
         "SELECT v.make, t.test_date FROM vehicle v, mot_test t WHERE "
         "v.vehicle_id = t.vehicle_id AND v.vehicle_id = 7",
         "SELECT SUM(t.cost) FROM mot_test t WHERE t.vehicle_id = 12"}) {
-    auto a = z.Answer(sql, 2, nullptr);
-    auto b = z2.Answer(sql, 2, nullptr);
+    auto a = z.Connect().Execute(sql, {.workers = 2});
+    auto b = z2.Connect().Execute(sql, {.workers = 2});
     ASSERT_TRUE(a.ok()) << sql;
     ASSERT_TRUE(b.ok()) << sql;
-    Relation ra = *a, rb = *b;
-    ra.SortRows();
-    rb.SortRows();
-    ASSERT_EQ(ra.size(), rb.size()) << sql;
-    for (size_t i = 0; i < ra.size(); ++i) {
-      for (size_t j = 0; j < ra.rows()[i].size(); ++j) {
-        if (ra.rows()[i][j].IsNumeric()) {
-          EXPECT_NEAR(ra.rows()[i][j].Numeric(), rb.rows()[i][j].Numeric(),
-                      1e-6);
-        } else {
-          EXPECT_EQ(ra.rows()[i][j], rb.rows()[i][j]);
-        }
-      }
-    }
+    ExpectSameRows(*a, *b, sql);
   }
 }
 
@@ -239,7 +207,7 @@ TEST(Persistence, ClusterSurvivesSaveLoad) {
     Zidian z(&w->catalog, &cluster, w->baav);
     ASSERT_TRUE(z.LoadTaav(w->data).ok());
     ASSERT_TRUE(z.BuildBaav(w->data).ok());
-    auto r = z.Answer(probe, 1, nullptr);
+    auto r = z.Connect().Execute(probe);
     ASSERT_TRUE(r.ok());
     before = *r;
     ASSERT_TRUE(cluster.SaveToDir(dir).ok());
@@ -249,7 +217,7 @@ TEST(Persistence, ClusterSurvivesSaveLoad) {
     ASSERT_TRUE(cluster.LoadFromDir(dir).ok());
     Zidian z(&w->catalog, &cluster, w->baav);  // no rebuild: storage restored
     AnswerInfo info;
-    auto r = z.Answer(probe, 1, &info);
+    auto r = z.Connect().Execute(probe, {}, &info);
     ASSERT_TRUE(r.ok());
     Relation after = *r;
     before.SortRows();
@@ -274,15 +242,8 @@ class PlannerEdgeCases : public ::testing::Test {
     ASSERT_TRUE(zidian_->BuildBaav(workload_.data).ok());
   }
 
-  void ExpectAgree(const std::string& sql, int workers = 2) {
-    auto a = zidian_->Answer(sql, workers, nullptr);
-    auto b = zidian_->AnswerBaseline(sql, workers, nullptr);
-    ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << sql;
-    Relation ra = *a, rb = *b;
-    ra.SortRows();
-    rb.SortRows();
-    ASSERT_EQ(ra.size(), rb.size()) << sql;
+  void ExpectAgree(const std::string& sql) {
+    ExpectRoutesAgree(*zidian_, sql, /*workers=*/2);
   }
 
   Workload workload_;
@@ -310,11 +271,11 @@ TEST_F(PlannerEdgeCases, OrPredicateIsResidualButCorrect) {
 }
 
 TEST_F(PlannerEdgeCases, OrderByAndLimitThroughZidianRoute) {
-  auto r = zidian_->Answer(
+  auto r = zidian_->Connect().Execute(
       "SELECT t.test_date, t.test_mileage FROM mot_test t, vehicle v "
       "WHERE t.vehicle_id = v.vehicle_id AND v.vehicle_id = 6 "
       "ORDER BY t.test_mileage DESC LIMIT 2",
-      2, nullptr);
+      {.workers = 2});
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 2u);
   EXPECT_GE(r->rows()[0][1].Numeric(), r->rows()[1][1].Numeric());
@@ -322,10 +283,10 @@ TEST_F(PlannerEdgeCases, OrderByAndLimitThroughZidianRoute) {
 
 TEST_F(PlannerEdgeCases, GlobalCountStarScanFree) {
   AnswerInfo info;
-  auto r = zidian_->Answer(
+  auto r = zidian_->Connect().Execute(
       "SELECT COUNT(*) FROM mot_test t, vehicle v "
       "WHERE t.vehicle_id = v.vehicle_id AND v.vehicle_id = 9",
-      2, &info);
+      {.workers = 2}, &info);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(info.scan_free);
   EXPECT_EQ(r->rows()[0][0].AsInt(), 5);  // 5 tests per vehicle
@@ -338,10 +299,9 @@ TEST_F(PlannerEdgeCases, DuplicateConstantsAreConsistent) {
 }
 
 TEST_F(PlannerEdgeCases, ContradictoryConstantsYieldEmpty) {
-  auto r = zidian_->Answer(
+  auto r = zidian_->Connect().Execute(
       "SELECT t.test_id FROM mot_test t WHERE t.test_id = 7 AND "
-      "t.test_id = 8",
-      1, nullptr);
+      "t.test_id = 8");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }

@@ -31,6 +31,7 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "parity.h"
 #include "serve/load_generator.h"
 #include "serve/server.h"
 #include "storage/cluster.h"
@@ -330,9 +331,7 @@ TEST_F(ServeConcurrentFixture, ConcurrentRowsAndCountersMatchSerialBaseline) {
     auto it = expected.find(sql);
     ASSERT_NE(it, expected.end()) << sql;
     EXPECT_EQ(text, it->second.rows) << sql;
-    EXPECT_TRUE(CountersEqual(info.metrics, it->second.metrics))
-        << sql << "\n  serial:     " << it->second.metrics.ToString()
-        << "\n  concurrent: " << info.metrics.ToString();
+    EXPECT_TRUE(SameCounters(info.metrics, it->second.metrics)) << sql;
     ++checked;
   };
 
@@ -509,9 +508,10 @@ TEST_F(ServeConcurrentFixture, WriteMixKeepsLayoutsConsistent) {
   for (uint64_t vid : {uint64_t{1}, uint64_t{2}, uint64_t{5}}) {
     std::string sql = AggTemplate().sql(vid);
     AnswerInfo info;
-    auto kba = zidian_->Answer(sql, 1, &info);
+    auto kba = zidian_->Connect().Execute(sql, {}, &info);
     ASSERT_TRUE(kba.ok()) << sql << "\n" << kba.status().ToString();
-    auto base = zidian_->AnswerBaseline(sql, 1, nullptr);
+    auto base = zidian_->Connect().Execute(
+        sql, {.route_policy = RoutePolicy::kForceBaseline});
     ASSERT_TRUE(base.ok()) << sql;
     Relation a = *kba, b = *base;
     a.SortRows();

@@ -6,6 +6,7 @@
 //  * scan-free queries execute with zero next() calls (Proposition 7a).
 #include <gtest/gtest.h>
 
+#include "parity.h"
 #include "sql/binder.h"
 #include "zidian/planner.h"
 #include "zidian/zidian.h"
@@ -19,26 +20,6 @@ Result<Workload> MakeByName(const std::string& name, double scale,
   if (name == "tpch") return MakeTpch(scale, seed);
   if (name == "mot") return MakeMot(scale, seed);
   return MakeAirca(scale, seed);
-}
-
-void ExpectRelationsEqual(Relation a, Relation b, const std::string& what) {
-  a.SortRows();
-  b.SortRows();
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.rows()[i].size(), b.rows()[i].size()) << what;
-    for (size_t j = 0; j < a.rows()[i].size(); ++j) {
-      const Value& va = a.rows()[i][j];
-      const Value& vb = b.rows()[i][j];
-      if (va.IsNumeric() && vb.IsNumeric()) {
-        double denom = std::max(1.0, std::abs(vb.Numeric()));
-        EXPECT_NEAR(va.Numeric() / denom, vb.Numeric() / denom, 1e-9)
-            << what << " row " << i << " col " << j;
-      } else {
-        EXPECT_EQ(va, vb) << what << " row " << i << " col " << j;
-      }
-    }
-  }
 }
 
 class WorkloadTest : public ::testing::TestWithParam<const char*> {};
@@ -99,12 +80,9 @@ TEST_P(WorkloadTest, ZidianMatchesBaselineOnEveryQuery) {
   ASSERT_TRUE(z.BuildBaav(w->data).ok());
 
   for (const auto& q : w->queries) {
+    SCOPED_TRACE(w->name + "/" + q.name);
     AnswerInfo info;
-    auto zr = z.Answer(q.sql, /*workers=*/2, &info);
-    ASSERT_TRUE(zr.ok()) << q.name << ": " << zr.status().ToString();
-    auto br = z.AnswerBaseline(q.sql, 2, nullptr);
-    ASSERT_TRUE(br.ok()) << q.name << ": " << br.status().ToString();
-    ExpectRelationsEqual(*zr, *br, w->name + "/" + q.name);
+    ExpectRoutesAgree(z, q.sql, /*workers=*/2, &info);
 
     EXPECT_EQ(info.scan_free, q.expect_scan_free) << q.name;
     if (q.expect_scan_free) {

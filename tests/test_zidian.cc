@@ -5,6 +5,8 @@
 // (Theorem 8).
 #include <gtest/gtest.h>
 
+#include "parity.h"
+#include "ra/taav.h"
 #include "sql/binder.h"
 #include "storage/backend.h"
 #include "workloads/workload.h"
@@ -152,18 +154,14 @@ TEST(Planner, StatsPushdownOnEligibleAggregate) {
   EXPECT_FALSE(planned3->stats_pushdown);
 
   // Both routes agree with the baseline.
-  AnswerInfo info;
-  auto zr = z.AnswerSpec(*spec2, 2, &info);
+  auto prepared = z.Connect().PrepareSpec(*spec2);
+  ASSERT_TRUE(prepared.ok());
+  auto zr = prepared->Execute(ExecOptions{.workers = 2});
   ASSERT_TRUE(zr.ok());
-  auto br = z.AnswerBaseline(*spec2, 2, nullptr);
+  auto br = prepared->Execute(ExecOptions{
+      .workers = 2, .route_policy = RoutePolicy::kForceBaseline});
   ASSERT_TRUE(br.ok());
-  Relation a = *zr, b = *br;
-  a.SortRows();
-  b.SortRows();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a.rows()[i][1].Numeric(), b.rows()[i][1].Numeric(), 1e-6);
-  }
+  ExpectSameRows(*zr, *br, "stats pushdown");
 }
 
 TEST(Planner, NonScanFreePlanUsesInstanceScans) {
@@ -198,15 +196,13 @@ TEST(Bounded, CostIndependentOfDatasetSize) {
     std::string sql =
         "SELECT v.make, t.test_date, t.test_result FROM vehicle v, mot_test "
         "t WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 7";
-    AnswerInfo info;
-    auto zr = z.Answer(sql, 2, &info);
-    ASSERT_TRUE(zr.ok());
+    AnswerInfo info, base;
+    Relation rows;
+    ExpectRoutesAgree(z, sql, /*workers=*/2, &info, &base, &rows);
     EXPECT_TRUE(info.bounded);
-    EXPECT_EQ(zr->size(), 5u);  // 5 tests per vehicle at every scale
-    QueryMetrics bm;
-    ASSERT_TRUE(z.AnswerBaseline(sql, 2, &bm).ok());
+    EXPECT_EQ(rows.size(), 5u);  // 5 tests per vehicle at every scale
     zidian_m.push_back(info.metrics);
-    base_m.push_back(bm);
+    base_m.push_back(base.metrics);
   }
   // Zidian: flat across an 8x data growth.
   EXPECT_EQ(zidian_m.front().get_calls, zidian_m.back().get_calls);
@@ -232,7 +228,7 @@ TEST(Parallel, MakespanShrinksWithWorkers) {
   double prev = 1e18;
   for (int p : {1, 2, 4, 8}) {
     AnswerInfo info;
-    auto r = z.Answer(sql, p, &info);
+    auto r = z.Connect().Execute(sql, {.workers = p}, &info);
     ASSERT_TRUE(r.ok());
     double t = SimSeconds(info.metrics, SoH()) - SoH().startup_s;
     EXPECT_LT(t, prev * 1.05) << "p=" << p;
@@ -240,10 +236,10 @@ TEST(Parallel, MakespanShrinksWithWorkers) {
   }
   // Baseline scales too (Theorem 8 holds for both; Zidian must not break
   // horizontal behavior).
-  QueryMetrics m1, m8;
-  ASSERT_TRUE(z.AnswerBaseline(sql, 1, &m1).ok());
-  ASSERT_TRUE(z.AnswerBaseline(sql, 8, &m8).ok());
-  EXPECT_LT(m8.makespan_next, m1.makespan_next);
+  AnswerInfo b1, b8;
+  ExpectRoutesAgree(z, sql, /*workers=*/1, nullptr, &b1);
+  ExpectRoutesAgree(z, sql, /*workers=*/8, nullptr, &b8);
+  EXPECT_LT(b8.metrics.makespan_next, b1.metrics.makespan_next);
 }
 
 // -------------------------------------------------------------------- T2B --
@@ -337,8 +333,8 @@ TEST(Routing, NonPreservedQueryFallsBackToTaav) {
   ASSERT_TRUE(z.BuildBaav(vehicle_only).ok());
 
   AnswerInfo info;
-  auto r = z.Answer(
-      "SELECT v.model FROM vehicle v WHERE v.vehicle_id = 3", 1, &info);
+  auto r = z.Connect().Execute(
+      "SELECT v.model FROM vehicle v WHERE v.vehicle_id = 3", {}, &info);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(info.result_preserving);
   EXPECT_EQ(info.route, AnswerInfo::Route::kTaavFallback);
@@ -365,17 +361,6 @@ class ConnectionFixture : public ::testing::Test {
     return r.ToString();
   }
 
-  static void ExpectSameMetrics(const QueryMetrics& a, const QueryMetrics& b) {
-    EXPECT_EQ(a.get_calls, b.get_calls);
-    EXPECT_EQ(a.get_round_trips, b.get_round_trips);
-    EXPECT_EQ(a.multiget_calls, b.multiget_calls);
-    EXPECT_EQ(a.next_calls, b.next_calls);
-    EXPECT_EQ(a.values_accessed, b.values_accessed);
-    EXPECT_EQ(a.bytes_from_storage, b.bytes_from_storage);
-    EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
-    EXPECT_EQ(a.compute_values, b.compute_values);
-  }
-
   const std::string kScanFreeSql =
       "SELECT v.make, t.test_result FROM vehicle v, mot_test t "
       "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 11";
@@ -385,7 +370,7 @@ class ConnectionFixture : public ::testing::Test {
   std::unique_ptr<Zidian> zidian_;
 };
 
-TEST_F(ConnectionFixture, PreparedQueryReusedMatchesOneShotAnswer) {
+TEST_F(ConnectionFixture, PreparedQueryReusedMatchesOneShotExecute) {
   Connection conn = zidian_->Connect();
   auto prepared = conn.Prepare(kScanFreeSql);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
@@ -393,16 +378,17 @@ TEST_F(ConnectionFixture, PreparedQueryReusedMatchesOneShotAnswer) {
   AnswerInfo first, second, one_shot;
   auto r1 = prepared->Execute(ExecOptions{.workers = 2}, &first);
   auto r2 = prepared->Execute(ExecOptions{.workers = 2}, &second);
-  auto rs = zidian_->Answer(kScanFreeSql, 2, &one_shot);
+  auto rs = conn.Execute(kScanFreeSql, ExecOptions{.workers = 2}, &one_shot);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(rs.ok());
 
-  // Re-execution is deterministic and identical to the one-shot facade.
+  // Re-execution is deterministic and identical to a one-shot
+  // Connection::Execute.
   EXPECT_EQ(Sorted(*r1), Sorted(*r2));
   EXPECT_EQ(Sorted(*r1), Sorted(*rs));
-  ExpectSameMetrics(first.metrics, second.metrics);
-  ExpectSameMetrics(first.metrics, one_shot.metrics);
+  EXPECT_TRUE(SameCounters(first.metrics, second.metrics));
+  EXPECT_TRUE(SameCounters(first.metrics, one_shot.metrics));
   EXPECT_EQ(first.route, one_shot.route);
   EXPECT_EQ(first.plan_text, one_shot.plan_text);
 }
@@ -421,7 +407,7 @@ TEST_F(ConnectionFixture, ExplainExposesPlanBeforeAndMetricsAfterExecution) {
   EXPECT_GT(prepared->Explain().metrics.get_calls, 0u);
 }
 
-TEST_F(ConnectionFixture, RoutePolicyForceBaselineMatchesAnswerBaseline) {
+TEST_F(ConnectionFixture, RoutePolicyForceBaselineMatchesTaavExecutor) {
   auto prepared = zidian_->Connect().Prepare(kScanFreeSql);
   ASSERT_TRUE(prepared.ok());
   AnswerInfo forced;
@@ -431,11 +417,13 @@ TEST_F(ConnectionFixture, RoutePolicyForceBaselineMatchesAnswerBaseline) {
   ASSERT_TRUE(fr.ok());
   EXPECT_EQ(forced.route, AnswerInfo::Route::kTaavFallback);
 
+  // The forced route is exactly the TaaV executor run directly.
   QueryMetrics bm;
-  auto br = zidian_->AnswerBaseline(kScanFreeSql, 2, &bm);
+  auto br = TaavExecutor(&workload_.catalog, cluster_.get())
+                .Execute(prepared->spec(), TaavExecOptions{.workers = 2}, &bm);
   ASSERT_TRUE(br.ok());
   EXPECT_EQ(Sorted(*fr), Sorted(*br));
-  ExpectSameMetrics(forced.metrics, bm);
+  EXPECT_TRUE(SameCounters(forced.metrics, bm));
 
   // Explain() still describes the prepared KBA plan after a forced
   // baseline run — only the route reflects the latest execution.
@@ -481,7 +469,7 @@ TEST_F(ConnectionFixture, BackendProfileFillsSimSeconds) {
                             &info)
                   .ok());
   EXPECT_GT(info.sim_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(info.sim_seconds, info.SimSecondsFor(SoH()));
+  EXPECT_DOUBLE_EQ(info.sim_seconds, SimSeconds(info.metrics, SoH()));
 }
 
 TEST_F(ConnectionFixture, WholeWorkloadAgreesOnMemBackendCluster) {

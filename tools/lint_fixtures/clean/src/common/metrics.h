@@ -1,7 +1,12 @@
-// Fixture: a QueryMetrics whose every counter is registered (see the
-// sibling metrics.cc and docs/ARCHITECTURE.md).
+// Fixture: every QueryMetrics field is a documented row of the table,
+// and CountersEqual (sibling metrics.cc) expands it.
+#define ZIDIAN_QUERY_METRICS_FIELDS(X)      \
+  X(get_calls, Sum, kCompared)              \
+  X(node_trips, PerNode, kCompared)         \
+  X(net_overlap_ns, Sum, kScheduleShape)    \
+  X(net_inflight_max, Peak, kScheduleShape) \
+  X(wall_seconds, Real, kWall)
+
 struct QueryMetrics {
-  uint64_t get_calls = 0;
-  std::vector<uint64_t> node_trips;
-  double wall_seconds = 0;  // nondeterministic: glossary yes, equality no
+  ZIDIAN_QUERY_METRICS_FIELDS(ZIDIAN_METRIC_MEMBER)
 };

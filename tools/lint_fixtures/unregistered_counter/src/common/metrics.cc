@@ -1,3 +1,4 @@
 bool CountersEqual(const QueryMetrics& a, const QueryMetrics& b) {
-  return a.get_calls == b.get_calls;
+  ZIDIAN_QUERY_METRICS_FIELDS(ZIDIAN_METRIC_EQUAL)
+  return true;
 }

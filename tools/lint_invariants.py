@@ -4,17 +4,14 @@ prose (DESIGN.md, docs/ARCHITECTURE.md) but that nothing else checks.
 
 Checks, each a CI failure when violated:
 
-  counters   Every QueryMetrics field (src/common/metrics.h) must be
-             compared by CountersEqual (src/common/metrics.cc) and
-             documented in the docs/ARCHITECTURE.md glossary table. Two
-             sanctioned exemption lists: the nondeterministic wall_*
-             timings (they measure the machine, not the query) and the
-             schedule-shape fields (SCHEDULE_SHAPE_FIELDS below: they
-             describe how the fan-out overlapped its round trips, which
-             varies between the serial and async read APIs by design).
-             Both must appear in the glossary but must NOT be compared by
-             CountersEqual — comparing either would break the
-             kSimulated/kThreads (and sync/async) determinism contract.
+  counters   The X(name, kind, parity) rows of ZIDIAN_QUERY_METRICS_FIELDS
+             (src/common/metrics.h) are the one QueryMetrics field list:
+             the struct declares no member outside them, CountersEqual
+             (src/common/metrics.cc) expands them rather than naming
+             fields, and each is in the docs/ARCHITECTURE.md glossary.
+             Parity kWall is exactly the wall_* timings and kScheduleShape
+             exactly SCHEDULE_SHAPE_FIELDS; every other row is kCompared,
+             or it would escape the kSimulated/kThreads parity contract.
 
   wall-clock Delegated to the AST analyzer (tools/analyze/analyze.py,
              --check wall-clock): wall-clock reads and raw std RNG
@@ -57,17 +54,23 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ANALYZE_DIR = REPO_ROOT / "tools" / "analyze"
 RAW_MUTEX_RE = re.compile(r"\bstd::(recursive_|shared_|timed_|recursive_timed_)?mutex\b")
 MUTEX_MEMBER_RE = re.compile(r"^\s*(?:mutable\s+)?(?:Shared)?Mutex\s+(\w+)\s*;", re.M)
-FIELD_RE = re.compile(
-    r"^\s*(?:uint64_t|double|std::vector<uint64_t>)\s+(\w+)\s*(?:=[^;]*)?;",
-    re.M)
 
-# QueryMetrics fields that describe HOW the overlapped fan-out scheduled
-# its round trips (not WHAT logical work was done): glossaried like every
-# field, but exempt from the CountersEqual parity contract — a serial and
-# an overlapped run of the same query legitimately differ here and
-# nowhere else. Growing this set is an API decision, not a convenience:
-# a new counter belongs in CountersEqual unless it is, like these,
-# definitionally fan-out-schedule-shaped.
+# The QueryMetrics field table (src/common/metrics.h): one
+# X(name, kind, parity) row per field. MEMBER_RE finds a data member
+# declared by hand instead (it would also match a local declared on its
+# own line inside an inline member function; QueryMetrics has none).
+TABLE = "ZIDIAN_QUERY_METRICS_FIELDS"
+ROW_RE = re.compile(r"\bX\(\s*(\w+)\s*,\s*(\w+)\s*,\s*(\w+)\s*\)")
+MEMBER_RE = re.compile(
+    r"^\s*(?!return\b)(?:[\w:]+(?:<[\w:, ]*>)?\s+)+(\w+)\s*"
+    r"(?:=[^;]*|\{[^;]*\})?;", re.M)
+KINDS = {"Sum", "Peak", "PerNode", "Real"}
+PARITIES = {"kCompared", "kScheduleShape", "kWall"}
+
+# The kScheduleShape rows: HOW the overlapped fan-out scheduled its round
+# trips, which legitimately differs between a serial and an overlapped
+# run. Growing this set is an API decision: a new counter is kCompared
+# unless it is, like these, definitionally fan-out-schedule-shaped.
 SCHEDULE_SHAPE_FIELDS = {"net_overlap_ns", "net_inflight_max"}
 
 
@@ -99,70 +102,65 @@ class Violation:
 
 # --------------------------------------------------------------- counters ---
 
-def query_metrics_fields(metrics_h_text):
-    """Field names of struct QueryMetrics, in declaration order."""
-    text = strip_comments(metrics_h_text)
-    m = re.search(r"struct QueryMetrics\s*\{(.*?)^\};", text, re.S | re.M)
-    if m is None:
-        return None
-    return FIELD_RE.findall(m.group(1))
+def braced_body(text, opener_re):
+    """Text between the `{` ending opener_re's match and its partner."""
+    m = re.search(opener_re, text)
+    depth = 1
+    for j in range(m.end(), len(text)) if m else ():
+        depth += {"{": 1, "}": -1}.get(text[j], 0)
+        if depth == 0:
+            return text[m.end():j]
+    return None
 
 
 def check_counters(root):
-    violations = []
     metrics_h = root / "src" / "common" / "metrics.h"
     metrics_cc = root / "src" / "common" / "metrics.cc"
     glossary_md = root / "docs" / "ARCHITECTURE.md"
     if not metrics_h.is_file():
-        return violations  # nothing to check in this tree
-    fields = query_metrics_fields(metrics_h.read_text())
-    if fields is None:
-        return [Violation("counters", metrics_h,
-                          "could not find struct QueryMetrics")]
-
-    equal_body = ""
-    if metrics_cc.is_file():
-        m = re.search(r"bool CountersEqual\([^)]*\)\s*\{(.*?)^\}",
-                      strip_comments(metrics_cc.read_text()), re.S | re.M)
-        if m is not None:
-            equal_body = m.group(1)
-        else:
-            violations.append(Violation("counters", metrics_cc,
-                                        "could not find CountersEqual"))
-    else:
-        violations.append(Violation("counters", metrics_cc,
-                                    "missing (CountersEqual lives here)"))
-
+        return []  # nothing to check in this tree
+    header = strip_comments(metrics_h.read_text())
+    table = re.search(rf"^#define {TABLE}\(X\)((?:.*\\\n)*.*)", header, re.M)
+    rows = ROW_RE.findall(table.group(1)) if table else []
+    struct = braced_body(header, r"struct QueryMetrics\s*\{") or ""
+    equal = braced_body(strip_comments(metrics_cc.read_text()),
+                        r"bool CountersEqual\([^)]*\)\s*\{") \
+        if metrics_cc.is_file() else None
     glossary = glossary_md.read_text() if glossary_md.is_file() else ""
 
-    for field in fields:
-        compared = re.search(rf"\ba\.{field}\b", equal_body) is not None
-        if field.startswith("wall_"):
-            if compared:
-                violations.append(Violation(
-                    "counters", metrics_cc,
-                    f"wall timing '{field}' must NOT be compared by "
-                    "CountersEqual (wall_* measures the machine, not the "
-                    "query)"))
-        elif field in SCHEDULE_SHAPE_FIELDS:
-            if compared:
-                violations.append(Violation(
-                    "counters", metrics_cc,
-                    f"schedule-shape field '{field}' must NOT be compared "
-                    "by CountersEqual (it varies between the serial and "
-                    "overlapped fan-out APIs by design — comparing it "
-                    "would break the sync/async parity contract)"))
-        elif not compared:
-            violations.append(Violation(
-                "counters", metrics_cc,
-                f"QueryMetrics counter '{field}' is not compared by "
-                "CountersEqual — register it (or it silently escapes the "
-                "kSimulated/kThreads parity contract)"))
-        if f"`{field}`" not in glossary:
-            violations.append(Violation(
-                "counters", glossary_md,
-                f"QueryMetrics field '{field}' is missing from the "
-                "docs/ARCHITECTURE.md glossary table"))
+    def bad(where, message):
+        violations.append(Violation("counters", where, message))
+
+    violations = []
+    if not rows:
+        bad(metrics_h, f"no X(name, kind, parity) rows in {TABLE}")
+    if f"{TABLE}(" not in struct:
+        bad(metrics_h, f"struct QueryMetrics does not expand {TABLE}")
+    for name in MEMBER_RE.findall(re.sub(r"^\s*#(?:.*\\\n)*.*", "", struct,
+                                         flags=re.M)):
+        bad(metrics_h, f"QueryMetrics member '{name}' is declared outside "
+            f"{TABLE} — make it a row so operator+=, CountersEqual and "
+            "ToString cover it")
+    if equal is None or f"{TABLE}(" not in equal:
+        bad(metrics_cc, f"CountersEqual is not expanded from {TABLE}")
+    for name, kind, parity in rows:
+        if kind not in KINDS or parity not in PARITIES:
+            bad(metrics_h, f"row '{name}': kind must be one of "
+                f"{sorted(KINDS)}, parity one of {sorted(PARITIES)}")
+        if (parity == "kWall") != name.startswith("wall_"):
+            bad(metrics_h, f"row '{name}': parity kWall is exactly the "
+                "wall_* timings (they measure the machine, not the query)")
+        if equal is not None and re.search(rf"\b[ab]\.{name}\b", equal):
+            bad(metrics_cc, f"CountersEqual compares '{name}' by hand — "
+                "the table's parity column decides what is compared")
+        if f"`{name}`" not in glossary:
+            bad(glossary_md, f"QueryMetrics field '{name}' is missing from "
+                "the docs/ARCHITECTURE.md glossary table")
+    shape = {name for name, _, parity in rows if parity == "kScheduleShape"}
+    if rows and shape != SCHEDULE_SHAPE_FIELDS:
+        bad(metrics_h, f"kScheduleShape rows are {sorted(shape)}, pinned to "
+            f"{sorted(SCHEDULE_SHAPE_FIELDS)} — a counter exempt from "
+            "CountersEqual escapes the kSimulated/kThreads parity contract")
     return violations
 
 
@@ -260,6 +258,7 @@ FIXTURES = {
     "clean": frozenset(),
     "unregistered_counter": frozenset({"counters"}),
     "undocumented_fault_counter": frozenset({"counters"}),
+    "exempt_counter": frozenset({"counters"}),
     "stray_wall_clock": frozenset({"wall-clock"}),
     "unannotated_mutex": frozenset({"mutex"}),
     "raw_std_mutex": frozenset({"mutex"}),
