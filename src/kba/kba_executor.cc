@@ -86,6 +86,7 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
 
     case KbaOp::kShift: {
       ZIDIAN_ASSIGN_OR_RETURN(KvInst in, Eval(*plan.children[0], ctx, m));
+      auto start = std::chrono::steady_clock::now();
       // Re-keying redistributes blocks: charge a repartition.
       ChargeShuffleBytes(in.rel.ByteSize(), workers, m);
       std::vector<std::string> rest;
@@ -100,7 +101,6 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
       KvInst out;
       out.key_cols = plan.new_key;
       out.value_cols = rest;
-      auto start = std::chrono::steady_clock::now();
       out.rel = ProjectParallel(in.rel, order, ctx.pool, workers);
       if (m != nullptr) m->wall_compute_seconds += SecondsSince(start);
       return out;
@@ -137,13 +137,15 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
     case KbaOp::kJoin: {
       ZIDIAN_ASSIGN_OR_RETURN(KvInst l, Eval(*plan.children[0], ctx, m));
       ZIDIAN_ASSIGN_OR_RETURN(KvInst r, Eval(*plan.children[1], ctx, m));
+      // The compute stamp spans the shuffle charge through the re-ordered
+      // output: the byte walks, the column dedupe and the copy are all
+      // this join's work.
+      auto start = std::chrono::steady_clock::now();
       ChargeShuffleBytes(l.rel.ByteSize(), workers, m);
       ChargeShuffleBytes(r.rel.ByteSize(), workers, m);
-      auto start = std::chrono::steady_clock::now();
       ZIDIAN_ASSIGN_OR_RETURN(
           Relation joined,
           HashJoin(l.rel, r.rel, plan.join_pairs, m, ctx.pool, workers));
-      if (m != nullptr) m->wall_compute_seconds += SecondsSince(start);
       // Deduplicate repeated column names (a column may flow in from both
       // sides); keep the first occurrence.
       std::vector<std::string> unique_cols;
@@ -171,6 +173,7 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
       std::vector<std::string> order = out.key_cols;
       order.insert(order.end(), out.value_cols.begin(), out.value_cols.end());
       out.rel = joined.Project(order);
+      if (m != nullptr) m->wall_compute_seconds += SecondsSince(start);
       return out;
     }
 
@@ -182,8 +185,8 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
         if (m != nullptr) m->wall_compute_seconds += SecondsSince(start);
         return res;
       }
-      ChargeShuffleBytes(in.rel.ByteSize(), workers, m);
       auto start = std::chrono::steady_clock::now();
+      ChargeShuffleBytes(in.rel.ByteSize(), workers, m);
       ZIDIAN_ASSIGN_OR_RETURN(
           Relation out_rel,
           GroupAggregate(in.rel, plan.group_by, plan.agg_items, m, ctx.pool,

@@ -47,6 +47,14 @@ std::string KbaPlan::ToString(int indent) const {
   if (op == KbaOp::kConst) {
     os << " (" << const_inst.rel.size() << " blocks)";
   }
+  if (op == KbaOp::kJoin) {
+    // A keyless join is a cross product: name it so it cannot pass unseen.
+    if (join_pairs.empty()) os << " [cross product]";
+    for (size_t i = 0; i < join_pairs.size(); ++i) {
+      os << (i == 0 ? " on " : ", ") << join_pairs[i].first << "="
+         << join_pairs[i].second;
+    }
+  }
   os << "\n";
   for (const auto& c : children) os << c->ToString(indent + 1);
   return os.str();

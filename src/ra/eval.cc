@@ -117,7 +117,9 @@ Result<Relation> HashJoin(
   Relation out(std::move(out_cols));
 
   if (keys.empty()) {
-    // Cartesian product (used only when the join graph is disconnected).
+    // Cartesian product. Both planners join keyless only when the query's
+    // join graph is disconnected: TaaV's JoinAll and M2's scan-join order
+    // take a connected input first whenever one remains.
     for (const auto& lr : left.rows()) {
       for (const auto& rr : right.rows()) {
         Tuple t = lr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -515,29 +516,52 @@ Result<PlannedQuery> GenerateKbaPlan(const QuerySpec& spec,
       avail_after.push_back(avail);
     }
     // Append the scan joins, linking through equality classes and through
-    // shared column names (a kept partial fetch of the same alias).
-    for (const auto& [alias, cover] : scans) {
-      ChainStep cs;
-      cs.kind = ChainStep::kScanJoin;
-      cs.alias = alias;
-      cs.kv_name = cover->name;
+    // shared column names (a kept partial fetch of the same alias). The
+    // order is connected first: next comes the first remaining scan, in
+    // alias order, with a join pair to a column already available. Only
+    // when no remaining scan has one does a keyless join (a cross
+    // product) follow, i.e. when the join graph really is disconnected.
+    auto join_pairs_for = [&](const std::string& alias,
+                              const KvSchema* cover) {
+      std::vector<std::pair<std::string, std::string>> pairs;
       for (const auto& a : cover->AllAttrs()) {
         AttrRef mine{alias, a};
         if (avail.count(mine.Qualified())) {
           // The column already flowed in: equate the two copies.
-          cs.join_pairs.emplace_back(mine.Qualified(), mine.Qualified());
+          pairs.emplace_back(mine.Qualified(), mine.Qualified());
           continue;
         }
         for (const auto& member : eq.ClassMembers(mine)) {
           if (member == mine) continue;
           if (avail.count(member.Qualified())) {
-            cs.join_pairs.emplace_back(member.Qualified(), mine.Qualified());
-            enforced.insert({member.Qualified(), mine.Qualified()});
-            enforced.insert({mine.Qualified(), member.Qualified()});
+            pairs.emplace_back(member.Qualified(), mine.Qualified());
             break;
           }
         }
       }
+      return pairs;
+    };
+    std::vector<std::pair<std::string, const KvSchema*>> remaining(
+        scans.begin(), scans.end());
+    while (!remaining.empty()) {
+      size_t pick = 0;
+      std::vector<std::pair<std::string, std::string>> pairs;
+      for (size_t i = 0; i < remaining.size() && pairs.empty(); ++i) {
+        pairs = join_pairs_for(remaining[i].first, remaining[i].second);
+        if (!pairs.empty()) pick = i;
+      }
+      const auto [alias, cover] = remaining[pick];
+      remaining.erase(remaining.begin() + static_cast<long>(pick));
+      for (const auto& [theirs, mine] : pairs) {
+        if (theirs == mine) continue;
+        enforced.insert({theirs, mine});
+        enforced.insert({mine, theirs});
+      }
+      ChainStep cs;
+      cs.kind = ChainStep::kScanJoin;
+      cs.alias = alias;
+      cs.kv_name = cover->name;
+      cs.join_pairs = std::move(pairs);
       for (const auto& a : cover->AllAttrs()) avail.insert(alias + "." + a);
       avail_after.push_back(avail);
       chain.push_back(std::move(cs));
@@ -688,17 +712,32 @@ Result<PlannedQuery> GenerateKbaPlan(const QuerySpec& spec,
   planned.stats_pushdown = stats_ok;
 
   // ---- assemble the plan ----------------------------------------------------
-  KbaPlanPtr plan = KbaPlan::Const(std::move(const_inst));
-  auto attach_predicates = [&](KbaPlanPtr node, size_t position) {
+  // Predicates at chain positions [first, last] go on `node`.
+  auto attach_predicates = [&](KbaPlanPtr node, size_t first, size_t last) {
     std::vector<ExprPtr> preds;
     for (const auto& p : pending) {
-      if (p.earliest_step == position) preds.push_back(p.expr);
+      if (p.earliest_step >= first && p.earliest_step <= last) {
+        preds.push_back(p.expr);
+      }
     }
     if (preds.empty()) return node;
     return KbaPlan::Select(std::move(node), std::move(preds));
   };
-  plan = attach_predicates(plan, 0);
-  for (size_t i = 0; i < chain.size(); ++i) {
+  // A constant leaf without columns joined to a leading scan would only
+  // copy every scanned row (a 1×N cross product): the plan then starts
+  // from the scan itself, which also takes the position-0 predicates.
+  KbaPlanPtr plan;
+  size_t next = 0;
+  if (const_inst.key_cols.empty() && !chain.empty() &&
+      chain[0].kind == ChainStep::kScanJoin) {
+    plan = KbaPlan::InstanceScan(chain[0].kv_name, chain[0].alias);
+    plan = attach_predicates(plan, 0, 1);
+    next = 1;
+  } else {
+    plan = KbaPlan::Const(std::move(const_inst));
+    plan = attach_predicates(plan, 0, 0);
+  }
+  for (size_t i = next; i < chain.size(); ++i) {
     const ChainStep& cs = chain[i];
     bool is_last = (i + 1 == chain.size());
     if (cs.kind == ChainStep::kExtend) {
@@ -709,17 +748,11 @@ Result<PlannedQuery> GenerateKbaPlan(const QuerySpec& spec,
       KbaPlanPtr scan = KbaPlan::InstanceScan(cs.kv_name, cs.alias);
       plan = KbaPlan::Join(std::move(plan), std::move(scan), cs.join_pairs);
     }
-    plan = attach_predicates(plan, i + 1);
+    plan = attach_predicates(plan, i + 1, i + 1);
   }
   // Any predicate whose earliest position exceeds the chain (shouldn't
   // happen) runs at the very top.
-  {
-    std::vector<ExprPtr> preds;
-    for (const auto& p : pending) {
-      if (p.earliest_step > chain.size()) preds.push_back(p.expr);
-    }
-    if (!preds.empty()) plan = KbaPlan::Select(std::move(plan), preds);
-  }
+  plan = attach_predicates(plan, chain.size() + 1, SIZE_MAX);
 
   if (stats_ok) {
     plan = KbaPlan::GroupAgg(std::move(plan), exec.group_by,

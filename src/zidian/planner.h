@@ -15,6 +15,12 @@
 //
 // For result-preserving but non-scan-free queries, unreached aliases fall
 // back to KV-instance scans joined into the chain (§5.1 (3), §6.2 step (3)).
+// The scans join in connected order: next comes the first remaining scan,
+// in alias order, with a join pair to a column already available; a
+// keyless join (a cross product) is planned only when none remains
+// connected, i.e. when the query's join graph is disconnected. A chain that
+// starts with a scan and has no constant columns starts from that scan,
+// not from a join with a column-less constant leaf.
 #ifndef ZIDIAN_ZIDIAN_PLANNER_H_
 #define ZIDIAN_ZIDIAN_PLANNER_H_
 

@@ -13,6 +13,9 @@
 // the serial fan-out.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -596,7 +599,11 @@ INSTANTIATE_TEST_SUITE_P(Engines, FaultParityFixture,
 TEST(FaultQueryTest, ExhaustedRetriesFailCleanlyAtTheQueryLayer) {
   auto w = MakeMot(0.05, 17);
   ASSERT_TRUE(w.ok());
-  std::string dir = ::testing::TempDir();
+  // A directory of this process's own: the plain and the cached ctest
+  // runs of this suite may run at once, and would share node files.
+  std::string dir = ::testing::TempDir() + "zidian_fault_query_" +
+                    std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
 
   // Build on a healthy cluster, then restore the bytes into a cluster
   // whose every read attempt is lost (p = 1, single copy): the storage is
@@ -615,6 +622,7 @@ TEST(FaultQueryTest, ExhaustedRetriesFailCleanlyAtTheQueryLayer) {
   co.network.faults.fault.fail_probability = 1.0;
   Cluster cluster(co);
   ASSERT_TRUE(cluster.LoadFromDir(dir).ok());
+  std::filesystem::remove_all(dir);
   Zidian zidian(&w->catalog, &cluster, w->baav);  // no rebuild: restored
 
   Connection conn = zidian.Connect();

@@ -7,8 +7,12 @@
 //  * cluster persistence round-trips query answers.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "parity.h"
@@ -196,7 +200,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UpdateSequenceProperty,
 TEST(Persistence, ClusterSurvivesSaveLoad) {
   auto w = MakeMot(0.1, 8);
   ASSERT_TRUE(w.ok());
-  std::string dir = ::testing::TempDir();
+  // A directory of this process's own: the plain and the cached ctest
+  // runs of this suite may run at once, and would share node files.
+  std::string dir = ::testing::TempDir() + "zidian_persistence_" +
+                    std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
   std::string probe =
       "SELECT v.make, t.test_result FROM vehicle v, mot_test t "
       "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 5";
@@ -215,6 +223,7 @@ TEST(Persistence, ClusterSurvivesSaveLoad) {
   {
     Cluster cluster(ClusterOptions{.num_storage_nodes = 3});
     ASSERT_TRUE(cluster.LoadFromDir(dir).ok());
+    std::filesystem::remove_all(dir);
     Zidian z(&w->catalog, &cluster, w->baav);  // no rebuild: storage restored
     AnswerInfo info;
     auto r = z.Connect().Execute(probe, {}, &info);
